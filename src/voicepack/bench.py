@@ -202,12 +202,13 @@ def run_benchmark(corpus, algs=tuple(AlgorithmId), cfg=DEFAULT_CONFIG):
     records = []
     for item in corpus:
         raw = item.payload.data
-        original = len(compress(raw, AlgorithmId.NONE, cfg).to_bytes())
         for alg in ordered:
             t0 = time.perf_counter_ns()
             blob = compress(raw, alg, cfg)
             micros = (time.perf_counter_ns() - t0) // 1000
             size = len(blob.to_bytes())
+            if alg is AlgorithmId.NONE:  # first in `ordered`: the baseline size
+                original = size
             records.append(BenchmarkRecord(
                 sentence_id=item.sentence_id,
                 trial=item.trial,

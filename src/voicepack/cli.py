@@ -13,9 +13,10 @@ import sys
 from pathlib import Path
 
 from voicepack import bench, sms
-from voicepack.codecs import AlgorithmId, CodecConfig, CompressedBlob, compress, decompress
+from voicepack.codecs import (AlgorithmId, CodecConfig, CompressedBlob, DEFAULT_CONFIG,
+                              compress, decompress)
 from voicepack.errors import VoicepackError
-from voicepack.pipeline import encode_message
+from voicepack.pipeline import SmsBundle, decode_message, encode_message
 
 ENV_ROOT = "VOICEPACK_ROOT"
 
@@ -33,10 +34,12 @@ def _add_codec_flags(p, with_alg=True, alg_default="ppm"):
     if with_alg:
         p.add_argument("--alg", choices=_ALG_CHOICES, default=alg_default,
                        help=f"compression algorithm (default {alg_default})")
-    p.add_argument("--lzw-bits", type=int, default=14, metavar="N",
-                   help="maximum LZW code width, 9..16 (default 14)")
-    p.add_argument("--ppm-order", type=int, default=3, metavar="K",
-                   help="PPM context order, 0..8 (default 3)")
+    lzw_bits = DEFAULT_CONFIG.lzw_max_code_bits
+    ppm_order = DEFAULT_CONFIG.ppm_order
+    p.add_argument("--lzw-bits", type=int, default=lzw_bits, metavar="N",
+                   help=f"maximum LZW code width, 9..16 (default {lzw_bits})")
+    p.add_argument("--ppm-order", type=int, default=ppm_order, metavar="K",
+                   help=f"PPM context order, 0..8 (default {ppm_order})")
 
 
 def _config(args):
@@ -117,11 +120,9 @@ def _cmd_send(args):
 
 
 def _cmd_receive(args):
-    tdir = _root(args)
-    segments = sms.inbox_collect(tdir, args.ref)
-    payload = sms.reassemble(segments)
-    blob = CompressedBlob.parse(payload)
-    Path(args.out_path).write_bytes(decompress(blob, _config(args)))
+    segments = sms.inbox_collect(_root(args), args.ref)
+    bundle = SmsBundle(args.ref, tuple(segments), None)
+    Path(args.out_path).write_bytes(decode_message(bundle, _config(args)).data)
     print(args.out_path)
     return 0
 

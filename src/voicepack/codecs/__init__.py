@@ -44,28 +44,16 @@ class AlgorithmId(IntEnum):
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Tunables left open by the algorithm definitions."""
+    """The decode-side parameters left open by the algorithm definitions."""
 
     lzw_max_code_bits: int = 14
     ppm_order: int = 3
-    bwt_block_size: int = 65536
-    lz_window: int = 32768
-    lz_min_match: int = 3
-    lz_max_match: int = 273
 
     def __post_init__(self):
         if not 9 <= self.lzw_max_code_bits <= 16:
             raise ValueError("lzw_max_code_bits must be in 9..16")
         if not 0 <= self.ppm_order <= 8:
             raise ValueError("ppm_order must be in 0..8")
-        if self.bwt_block_size < 1:
-            raise ValueError("bwt_block_size must be positive")
-        if not 1 <= self.lz_window <= 32768:
-            raise ValueError("lz_window must be in 1..32768")
-        if not 2 <= self.lz_min_match <= self.lz_max_match:
-            raise ValueError("lz_min_match must be in 2..lz_max_match")
-        if self.lz_max_match - self.lz_min_match > 510:
-            raise ValueError("lz match length span exceeds 511 values")
 
 
 DEFAULT_CONFIG = CodecConfig()
@@ -97,52 +85,51 @@ class CompressedBlob:
         return cls(alg, original_len, bytes(raw[HEADER_LEN:]))
 
 
+# algorithm -> (encode(data, cfg), decode(payload, original_len, cfg)).
+# Each entry looks its codec function up when called, so code that
+# replaces a module attribute (tracing, test doubles) sees the call.
+_CODECS = {
+    AlgorithmId.NONE: (
+        lambda data, cfg: data,
+        lambda payload, n, cfg: payload),
+    AlgorithmId.LZW: (
+        lambda data, cfg: lzw.encode_payload(data, cfg.lzw_max_code_bits),
+        lambda payload, n, cfg: lzw.decode_payload(payload, n, cfg.lzw_max_code_bits)),
+    AlgorithmId.LZMA: (
+        lambda data, cfg: lz.encode_payload(data),
+        lambda payload, n, cfg: lz.decode_payload(payload, n)),
+    AlgorithmId.HUFFMAN: (
+        lambda data, cfg: huffman.huffman_encode(data),
+        lambda payload, n, cfg: huffman.huffman_decode(payload, n)),
+    AlgorithmId.PPM: (
+        lambda data, cfg: ppm.ppm_encode(data, cfg.ppm_order),
+        lambda payload, n, cfg: ppm.ppm_decode(payload, n, cfg.ppm_order)),
+    AlgorithmId.AC: (
+        lambda data, cfg: arith.ac_encode(data),
+        lambda payload, n, cfg: arith.ac_decode(payload, n)),
+    AlgorithmId.BWT: (
+        lambda data, cfg: bwt.encode_payload(data),
+        lambda payload, n, cfg: bwt.decode_payload(payload, n)),
+}
+
+
 def compress(data, alg, cfg=DEFAULT_CONFIG):
     """Compress octets under one algorithm; deterministic per (data, alg, cfg)."""
     data = bytes(data)
     if len(data) >= 1 << 32:
         raise ValueError("input too large for a 32-bit length header")
     alg = AlgorithmId(alg)
-    if alg is AlgorithmId.NONE:
-        payload = data
-    elif alg is AlgorithmId.LZW:
-        payload = lzw.encode_payload(data, cfg.lzw_max_code_bits)
-    elif alg is AlgorithmId.LZMA:
-        payload = lz.encode_payload(data, cfg)
-    elif alg is AlgorithmId.HUFFMAN:
-        payload = huffman.huffman_encode(data)
-    elif alg is AlgorithmId.PPM:
-        payload = ppm.ppm_encode(data, cfg.ppm_order)
-    elif alg is AlgorithmId.AC:
-        payload = arith.ac_encode(data)
-    else:
-        payload = bwt.encode_payload(data, cfg.bwt_block_size)
-    return CompressedBlob(alg, len(data), payload)
+    encode, _ = _CODECS[alg]
+    return CompressedBlob(alg, len(data), encode(data, cfg))
 
 
 def decompress(blob, cfg=DEFAULT_CONFIG):
     """Exact inverse of compress for the same configuration."""
-    alg = blob.algorithm
-    n = blob.original_len
-    payload = blob.payload
-    if alg is AlgorithmId.NONE:
-        if len(payload) != n:
-            raise CorruptStream("pass-through payload length mismatch")
-        out = payload
-    elif alg is AlgorithmId.LZW:
-        out = lzw.decode_payload(payload, n, cfg.lzw_max_code_bits)
-    elif alg is AlgorithmId.LZMA:
-        out = lz.decode_payload(payload, n, cfg)
-    elif alg is AlgorithmId.HUFFMAN:
-        out = huffman.huffman_decode(payload, n)
-    elif alg is AlgorithmId.PPM:
-        out = ppm.ppm_decode(payload, n, cfg.ppm_order)
-    elif alg is AlgorithmId.AC:
-        out = arith.ac_decode(payload, n)
-    elif alg is AlgorithmId.BWT:
-        out = bwt.decode_payload(payload, n)
-    else:  # pragma: no cover - AlgorithmId is closed
-        raise UnknownAlgorithm(str(alg))
-    if len(out) != n:
+    try:
+        _, decode = _CODECS[blob.algorithm]
+    except KeyError:
+        raise UnknownAlgorithm(f"algorithm octet {blob.algorithm}") from None
+    out = decode(blob.payload, blob.original_len, cfg)
+    if len(out) != blob.original_len:
         raise CorruptStream("decoded length does not match header")
     return out

@@ -18,13 +18,12 @@ MAX_TOTAL = 1 << 16
 class AdaptiveModel:
     """Cumulative symbol counts maintained in a Fenwick tree."""
 
-    __slots__ = ("n", "counts", "total", "_tree", "_topbit", "_inc")
+    __slots__ = ("n", "counts", "total", "_tree", "_topbit")
 
-    def __init__(self, num_symbols, increment=ADAPT_INCREMENT):
+    def __init__(self, num_symbols):
         self.n = num_symbols
         self.counts = [1] * num_symbols
         self.total = num_symbols
-        self._inc = increment
         topbit = 1
         while topbit * 2 <= num_symbols:
             topbit *= 2
@@ -67,7 +66,7 @@ class AdaptiveModel:
         return pos, v - rem
 
     def _bump(self, s):
-        inc = self._inc
+        inc = ADAPT_INCREMENT
         self.counts[s] += inc
         i = s + 1
         tree = self._tree

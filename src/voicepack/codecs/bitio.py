@@ -61,7 +61,3 @@ class BitReader:
         value = (self._acc >> self._nbits) & ((1 << width) - 1)
         self._acc &= (1 << self._nbits) - 1
         return value
-
-    @property
-    def bits_left(self):
-        return (len(self._data) - self._pos) * 8 + self._nbits

@@ -9,8 +9,9 @@ Zero runs from the move-to-front stage are written in bijective base 2
 over two reserved tokens (RUNA=0, RUNB=1); any other move-to-front value
 v is carried as token v+1, so the token alphabet is 0..256.
 
-Payload layout per block: block length, primary index and coded stream
-length (4 octets BE each), then the coded token stream.
+The input is cut into blocks of BLOCK_SIZE octets.  Payload layout per
+block: block length, primary index and coded stream length (4 octets BE
+each), then the coded token stream.
 """
 
 import struct
@@ -21,6 +22,8 @@ import numpy as np
 from voicepack.codecs.arith import AdaptiveModel
 from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
 from voicepack.errors import CorruptStream
+
+BLOCK_SIZE = 65536
 
 RUNA = 0
 RUNB = 1
@@ -142,41 +145,12 @@ def rle0_encode(values):
     return out
 
 
-def rle0_decode(tokens):
-    """Inverse of rle0_encode; returns the move-to-front value sequence."""
-    out = bytearray()
-    run = 0
-    weight = 1
-    for t in tokens:
-        if t == RUNA:
-            run += weight
-            weight <<= 1
-        elif t == RUNB:
-            run += 2 * weight
-            weight <<= 1
-        else:
-            if run:
-                out += bytes(run)
-                run = 0
-                weight = 1
-            if not 2 <= t <= 256:
-                raise CorruptStream(f"run-length token {t} out of range")
-            out.append(t - 1)
-    if run:
-        out += bytes(run)
-    return bytes(out)
-
-
 def mtf_rle_encode(data):
     """Composed move-to-front and zero-run stage as one token sequence."""
     return rle0_encode(mtf_encode(data))
 
 
-def mtf_rle_decode(tokens):
-    return mtf_decode(rle0_decode(tokens))
-
-
-def encode_payload(data, block_size):
+def encode_payload(data, block_size=BLOCK_SIZE):
     out = bytearray()
     for at in range(0, len(data), block_size):
         chunk = data[at:at + block_size]

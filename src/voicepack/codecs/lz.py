@@ -3,8 +3,10 @@
 The parser is greedy: at each position it takes the longest match found
 through a hash chain over 3-octet prefixes (capped at 256 candidates per
 position, which bounds pathological inputs without affecting realistic
-ones).  Matches shorter than the configured minimum become literals, and
-overlapping matches (offset smaller than length) are legal.
+ones).  Matches shorter than MIN_MATCH become literals, and overlapping
+matches (offset smaller than length) are legal.  A token is a plain
+tuple: (0, octet) for a literal, (offset, length) for a match; offsets
+are at least 1, so the first field tells the two apart.
 
 Token coding keeps separate adaptive probability contexts per decision
 and conditions the literal/match flag and the literal tree on the kind
@@ -13,35 +15,23 @@ are split into a 4-bit slot (the bit length of offset-1) plus direct
 bits at probability one half.
 """
 
-from dataclasses import dataclass
-
 from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder, new_bit_probs
 from voicepack.errors import CorruptStream
+
+WINDOW = 32768
+MIN_MATCH = 3
+MAX_MATCH = 273  # MAX_MATCH - MIN_MATCH must fit the 9-bit length tree
 
 _CHAIN_TRIES = 256
 _LEN_TREE_BITS = 9
 _SLOT_TREE_BITS = 4
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: int
-
-
-@dataclass(frozen=True)
-class Match:
-    offset: int
-    length: int
-
-
-def lz77_parse(data, cfg):
+def lz77_parse(data):
     """Greedy longest-match token sequence reconstructing `data` exactly."""
     n = len(data)
     if n == 0:
         return []
-    window = cfg.lz_window
-    min_match = cfg.lz_min_match
-    max_match = cfg.lz_max_match
     head = {}
     chain = [-1] * n
     tokens = []
@@ -50,11 +40,11 @@ def lz77_parse(data, cfg):
     while i < n:
         best_len = 0
         best_pos = -1
-        if i + min_match <= n and i + 3 <= n:
+        if i + MIN_MATCH <= n and i + 3 <= n:
             key = data[i:i + 3]
             cand = get(key, -1)
-            limit = i - window
-            max_len = min(max_match, n - i)
+            limit = i - WINDOW
+            max_len = min(MAX_MATCH, n - i)
             tries = _CHAIN_TRIES
             while cand >= limit and cand >= 0 and tries:
                 tries -= 1
@@ -69,8 +59,8 @@ def lz77_parse(data, cfg):
                         if l == max_len:
                             break
                 cand = chain[cand]
-        if best_len >= min_match:
-            tokens.append(Match(i - best_pos, best_len))
+        if best_len >= MIN_MATCH:
+            tokens.append((i - best_pos, best_len))
             stop = min(i + best_len, n - 2)
             j = i
             while j < stop:
@@ -80,40 +70,13 @@ def lz77_parse(data, cfg):
                 j += 1
             i += best_len
         else:
-            tokens.append(Literal(data[i]))
+            tokens.append((0, data[i]))
             if i + 3 <= n:
                 key = data[i:i + 3]
                 chain[i] = get(key, -1)
                 head[key] = i
             i += 1
     return tokens
-
-
-def tokens_to_bytes(tokens):
-    """Expand a token sequence back to the original octets."""
-    out = bytearray()
-    for tok in tokens:
-        if isinstance(tok, Literal):
-            out.append(tok.value)
-        else:
-            src = len(out) - tok.offset
-            if src < 0:
-                raise CorruptStream("match offset before start of output")
-            remaining = tok.length
-            while remaining > 0:
-                take = min(remaining, len(out) - src)
-                out += out[src:src + take]
-                src += take
-                remaining -= take
-    return bytes(out)
-
-
-def serialized_token_bits(tokens):
-    """Fixed-width size oracle: 1+8 bits per literal, 1+15+9 per match."""
-    bits = 0
-    for tok in tokens:
-        bits += 9 if isinstance(tok, Literal) else 25
-    return bits
 
 
 def _models():
@@ -125,24 +88,23 @@ def _models():
     }
 
 
-def encode_payload(data, cfg):
+def encode_payload(data):
     if not data:
         return b""
-    tokens = lz77_parse(data, cfg)
+    tokens = lz77_parse(data)
     enc = RangeEncoder()
     m = _models()
     flag, lit, lent, slot = m["flag"], m["lit"], m["len"], m["slot"]
-    min_match = cfg.lz_min_match
     prev_kind = 0
-    for tok in tokens:
-        if isinstance(tok, Literal):
+    for offset, value in tokens:
+        if not offset:
             enc.encode_bit(flag, prev_kind, 0)
-            enc.encode_tree(lit, prev_kind * 256, 8, tok.value)
+            enc.encode_tree(lit, prev_kind * 256, 8, value)
             prev_kind = 0
         else:
             enc.encode_bit(flag, prev_kind, 1)
-            enc.encode_tree(lent, 0, _LEN_TREE_BITS, tok.length - min_match)
-            d = tok.offset - 1
+            enc.encode_tree(lent, 0, _LEN_TREE_BITS, value - MIN_MATCH)
+            d = offset - 1
             s = d.bit_length()
             enc.encode_tree(slot, 0, _SLOT_TREE_BITS, s)
             if s >= 2:
@@ -151,18 +113,17 @@ def encode_payload(data, cfg):
     return enc.finish()
 
 
-def decode_payload(payload, original_len, cfg):
+def decode_payload(payload, original_len):
     if original_len == 0:
         return b""
     dec = RangeDecoder(payload)
     m = _models()
     flag, lit, lent, slot = m["flag"], m["lit"], m["len"], m["slot"]
-    min_match = cfg.lz_min_match
     out = bytearray()
     prev_kind = 0
     while len(out) < original_len:
         if dec.decode_bit(flag, prev_kind):
-            length = dec.decode_tree(lent, 0, _LEN_TREE_BITS) + min_match
+            length = dec.decode_tree(lent, 0, _LEN_TREE_BITS) + MIN_MATCH
             s = dec.decode_tree(slot, 0, _SLOT_TREE_BITS)
             if s == 0:
                 d = 0

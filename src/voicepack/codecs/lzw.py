@@ -45,34 +45,6 @@ def lzw_encode(data, max_code_bits):
     return codes
 
 
-def lzw_decode(codes, max_code_bits):
-    """Inverse of lzw_encode, including the code-defined-while-used case."""
-    if not codes:
-        return b""
-    cap = 1 << max_code_bits
-    first = codes[0]
-    if first > 255:
-        raise CorruptStream(f"first LZW code {first} is not a literal")
-    entries = []
-    prev = _SINGLE[first]
-    out = bytearray(prev)
-    for code in codes[1:]:
-        nfree = _FIRST_FREE + len(entries)
-        if code < 256:
-            entry = _SINGLE[code]
-        elif code - _FIRST_FREE < len(entries):
-            entry = entries[code - _FIRST_FREE]
-        elif code == nfree and nfree < cap:
-            entry = prev + prev[:1]
-        else:
-            raise CorruptStream(f"LZW code {code} exceeds next free slot {nfree}")
-        out += entry
-        if nfree < cap:
-            entries.append(prev + entry[:1])
-        prev = entry
-    return bytes(out)
-
-
 def code_widths(n_codes, max_code_bits):
     """Bit width used for each code position in the packed stream.
 

@@ -24,7 +24,7 @@ class VoicePayload:
 class SmsBundle:
     reference: int
     segments: tuple
-    algorithm: AlgorithmId
+    algorithm: AlgorithmId  # None for a received bundle: the container names it
 
 
 def bytes_to_ext_ascii(data):

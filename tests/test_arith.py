@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from voicepack.codecs.arith import AdaptiveModel, ac_decode, ac_encode
+from voicepack.codecs.arith import (
+    ADAPT_INCREMENT,
+    MAX_TOTAL,
+    AdaptiveModel,
+    ac_decode,
+    ac_encode,
+)
 from voicepack.errors import CorruptStream
 
 
@@ -43,10 +49,13 @@ def test_wrong_length_rejected():
 
 
 def test_model_matches_naive_counts():
+    # enough draws to pass MAX_TOTAL several times, so the Fenwick tree
+    # rebuilt after each halving is checked against the naive counts too
     rng = random.Random(9)
-    m = AdaptiveModel(16, increment=5)
+    m = AdaptiveModel(16)
     naive = [1] * 16
-    for _ in range(2000):
+    rescales = 0
+    for _ in range(6000):
         s = rng.randrange(16)
         assert m._prefix(s) == sum(naive[:s])
         assert m.counts[s] == naive[s]
@@ -62,9 +71,11 @@ def test_model_matches_naive_counts():
             acc += c
         assert (sym, cum) == expect
         m._bump(s)
-        naive[s] += 5
-        if sum(naive) > (1 << 16):
+        naive[s] += ADAPT_INCREMENT
+        if sum(naive) > MAX_TOTAL:
             naive = [max(1, c >> 1) for c in naive]
+            rescales += 1
+    assert rescales >= 3
 
 
 def entropy_bits(probs):

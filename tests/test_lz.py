@@ -1,31 +1,27 @@
 import random
 
-from voicepack.codecs import CodecConfig
 from voicepack.codecs.lz import (
-    Literal,
-    Match,
+    MAX_MATCH,
+    MIN_MATCH,
+    WINDOW,
     decode_payload,
     encode_payload,
     lz77_parse,
-    serialized_token_bits,
-    tokens_to_bytes,
 )
 from voicepack.errors import CorruptStream
 
-CFG = CodecConfig()
-
 
 def test_parse_overlapping_match():
-    tokens = lz77_parse(b"abcabcabc", CFG)
-    assert tokens == [Literal(97), Literal(98), Literal(99), Match(3, 6)]
+    tokens = lz77_parse(b"abcabcabc")
+    assert tokens == [(0, 97), (0, 98), (0, 99), (3, 6)]
 
 
 def test_parse_below_min_match():
-    assert lz77_parse(b"abc", CFG) == [Literal(97), Literal(98), Literal(99)]
+    assert lz77_parse(b"abc") == [(0, 97), (0, 98), (0, 99)]
 
 
 def test_parse_empty():
-    assert lz77_parse(b"", CFG) == []
+    assert lz77_parse(b"") == []
 
 
 def test_tokens_reconstruct_exactly():
@@ -39,42 +35,47 @@ def test_tokens_reconstruct_exactly():
             data = (b"blah blah compression " * 200)[:n]
         else:
             data = bytes(rng.choice(b"ab") for _ in range(n))
-        assert tokens_to_bytes(lz77_parse(data, CFG)) == data
+        assert decode_payload(encode_payload(data), len(data)) == data
 
 
 def test_match_fields_within_bounds():
     rng = random.Random(34)
     data = (b"0123456789" * 400) + bytes(rng.getrandbits(8) for _ in range(500))
     pos = 0
-    for tok in lz77_parse(data, CFG):
-        if isinstance(tok, Match):
-            assert 1 <= tok.offset <= CFG.lz_window
-            assert CFG.lz_min_match <= tok.length <= CFG.lz_max_match
-            assert tok.offset <= pos
-            pos += tok.length
+    for offset, value in lz77_parse(data):
+        if offset:
+            assert 1 <= offset <= WINDOW
+            assert MIN_MATCH <= value <= MAX_MATCH
+            assert offset <= pos
+            pos += value
         else:
             pos += 1
     assert pos == len(data)
 
 
 def test_window_limits_offsets():
-    cfg = CodecConfig(lz_window=16)
-    data = b"ABCDEFGH" + bytes(range(32, 72)) + b"ABCDEFGH"
-    for tok in lz77_parse(data, cfg):
-        if isinstance(tok, Match):
-            assert tok.offset <= 16
+    # the second copy of `unit` starts WINDOW, then WINDOW + 1, octets
+    # after the first: only the first distance is within reach
+    rng = random.Random(37)
+    unit = bytes(rng.getrandbits(8) for _ in range(300))
+    for gap, reachable in ((WINDOW - 300, True), (WINDOW - 299, False)):
+        data = unit + bytes(gap) + unit
+        offsets = [offset for offset, _ in lz77_parse(data)]
+        assert max(offsets) <= WINDOW
+        assert (WINDOW in offsets) == reachable
+        assert decode_payload(encode_payload(data), len(data)) == data
 
 
 def test_encoded_beats_fixed_width_serialization():
+    # fixed-width oracle: 1+8 bits per literal, 1+15+9 bits per match
     data = b"abcabcabc" * 100
-    tokens = lz77_parse(data, CFG)
-    payload = encode_payload(data, CFG)
-    assert len(payload) * 8 < serialized_token_bits(tokens)
+    bits = sum(25 if offset else 9 for offset, _ in lz77_parse(data))
+    assert len(encode_payload(data)) * 8 < bits
 
 
 def test_empty_payload():
-    assert encode_payload(b"", CFG) == b""
-    assert decode_payload(b"", 0, CFG) == b""
+    assert encode_payload(b"") == b""
+    assert decode_payload(b"", 0) == b""
 
 
 def test_roundtrip_assorted():
@@ -88,23 +89,15 @@ def test_roundtrip_assorted():
         bytes(range(256)) * 20,
     ]
     for data in cases:
-        assert decode_payload(encode_payload(data, CFG), len(data), CFG) == data
-
-
-def test_roundtrip_small_window():
-    cfg = CodecConfig(lz_window=32, lz_min_match=2, lz_max_match=64)
-    rng = random.Random(36)
-    for _ in range(20):
-        data = bytes(rng.choice(b"abcd") for _ in range(rng.randrange(0, 800)))
-        assert decode_payload(encode_payload(data, cfg), len(data), cfg) == data
+        assert decode_payload(encode_payload(data), len(data)) == data
 
 
 def test_corrupt_stream_detected_or_wrong():
     data = b"abcabcabc" * 40
-    payload = bytearray(encode_payload(data, CFG))
+    payload = bytearray(encode_payload(data))
     payload[len(payload) // 2] ^= 0xFF
     try:
-        got = decode_payload(bytes(payload), len(data), CFG)
+        got = decode_payload(bytes(payload), len(data))
     except CorruptStream:
         return
     assert got != data

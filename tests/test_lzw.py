@@ -6,11 +6,15 @@ from voicepack.codecs.lzw import (
     code_widths,
     decode_payload,
     encode_payload,
-    lzw_decode,
     lzw_encode,
     pack_codes,
 )
 from voicepack.errors import CorruptStream
+
+
+def decode_codes(codes, original_len, max_bits):
+    """Run a code list through the packed-stream decoder."""
+    return decode_payload(pack_codes(codes, max_bits), original_len, max_bits)
 
 
 def test_encode_hand_trace_abababa():
@@ -26,22 +30,22 @@ def test_encode_empty():
 
 
 def test_decode_inverse_of_trace():
-    assert lzw_decode([65, 66, 256, 258], 14) == b"ABABABA"
+    assert decode_codes([65, 66, 256, 258], 7, 14) == b"ABABABA"
 
 
 def test_decode_kwkwk_case():
     # code 256 is consumed before its entry is complete
-    assert lzw_decode([97, 256, 97], 14) == b"aaaa"
+    assert decode_codes([97, 256, 97], 4, 14) == b"aaaa"
 
 
 def test_decode_code_beyond_next_free_slot():
     with pytest.raises(CorruptStream):
-        lzw_decode([97, 300], 14)
+        decode_codes([97, 300], 2, 14)
 
 
 def test_decode_first_code_must_be_literal():
     with pytest.raises(CorruptStream):
-        lzw_decode([256], 14)
+        decode_codes([256], 1, 14)
 
 
 def test_high_redundancy_shrinks():
@@ -63,7 +67,7 @@ def test_roundtrip_through_code_lists():
     rng = random.Random(5)
     for _ in range(30):
         data = bytes(rng.choice(b"abcd") for _ in range(rng.randrange(0, 500)))
-        assert lzw_decode(lzw_encode(data, 12), 12) == data
+        assert decode_codes(lzw_encode(data, 12), len(data), 12) == data
 
 
 def test_width_growth_invariant():
@@ -86,8 +90,7 @@ def test_dictionary_freeze_keeps_roundtrip():
     data = bytes(rng.getrandbits(8) for _ in range(6000))
     codes = lzw_encode(data, 9)
     assert max(codes) < 512
-    assert lzw_decode(codes, 9) == data
-    assert decode_payload(pack_codes(codes, 9), len(data), 9) == data
+    assert decode_codes(codes, len(data), 9) == data
 
 
 def test_truncated_payload_underruns():
