@@ -26,10 +26,6 @@ class BitWriter:
             self._buf.append((self._acc >> self._nbits) & 0xFF)
         self._acc &= (1 << self._nbits) - 1
 
-    @property
-    def bit_length(self):
-        return len(self._buf) * 8 + self._nbits
-
     def getvalue(self):
         """Return the packed bytes, zero-padding any trailing partial octet."""
         out = bytes(self._buf)

@@ -32,13 +32,6 @@ def test_final_partial_octet_zero_padded():
     assert bw.getvalue() == bytes([0b10100000])
 
 
-def test_bit_length_tracks_writes():
-    bw = BitWriter()
-    bw.write(3, 2)
-    bw.write(1, 9)
-    assert bw.bit_length == 11
-
-
 def test_read_past_end_raises():
     br = BitReader(b"\xff")
     br.read(8)

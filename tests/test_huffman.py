@@ -1,10 +1,18 @@
+import hashlib
 import itertools
 import random
+import time
+from collections import Counter
 from functools import lru_cache
 
 import pytest
 
-from voicepack.codecs.huffman import build_huffman_table, huffman_decode, huffman_encode
+from voicepack.codecs.huffman import (
+    LOOKUP_BITS,
+    build_huffman_table,
+    huffman_decode,
+    huffman_encode,
+)
 from voicepack.errors import CorruptStream, EmptyAlphabet
 
 
@@ -163,3 +171,52 @@ def test_optimality_spot_checks():
         counts = [rng.randrange(1, 7) for _ in range(k)]
         freqs = dict(zip(rng.sample(range(256), k), counts))
         assert table_cost(freqs) == optimal_cost(counts)
+
+
+def fibonacci_data(nsyms):
+    """Octet i repeated fib(i) times, interleaved: Huffman's deepest tree.
+
+    The code lengths run 1, 2, ..., nsyms - 1, nsyms - 1, so the longest
+    codes exceed the decoder's LOOKUP_BITS once nsyms > LOOKUP_BITS + 1.
+    """
+    fib = [1, 1]
+    while len(fib) < nsyms:
+        fib.append(fib[-1] + fib[-2])
+    runs = b"".join(bytes([sym]) * count for sym, count in enumerate(fib))
+    # 7919 is prime and divides neither length used here: a permutation.
+    return bytes(runs[(i * 7919) % len(runs)] for i in range(len(runs)))
+
+
+def test_long_codes_roundtrip_pinned():
+    data = fibonacci_data(25)
+    table = build_huffman_table(Counter(data))
+    assert max(map(len, table.values())) == 24 > LOOKUP_BITS
+    payload = huffman_encode(data)
+    # Digest computed with the bit-at-a-time coder this one replaced.
+    assert hashlib.sha256(payload).hexdigest() == (
+        "682110d0485a474ab574c7c04f2a28d154ce60ecf974670bb44d0114959f4fac")
+    assert huffman_decode(payload, len(data)) == data
+
+
+@pytest.mark.parametrize("data", [b"the rain in spain", fibonacci_data(14)],
+                         ids=["short-codes", "long-codes"])
+def test_every_truncation_raises(data):
+    payload = huffman_encode(data)
+    for cut in range(len(payload)):
+        with pytest.raises(CorruptStream):
+            huffman_decode(payload[:cut], len(data))
+
+
+def test_one_symbol_body_with_one_bit_raises():
+    payload = huffman_encode(b"zzz")
+    assert payload[-1:] == b"\x00"
+    with pytest.raises(CorruptStream):
+        huffman_decode(payload[:-1] + b"\x80", 3)
+
+
+def test_lying_length_raises_promptly():
+    header = huffman_encode(b"ab")[:-1]
+    start = time.perf_counter()
+    with pytest.raises(CorruptStream):
+        huffman_decode(header + bytes(10), 20_000_000)
+    assert time.perf_counter() - start < 1.0
