@@ -6,10 +6,8 @@ sizes, ratios and SMS counts side by side, and shows that each stream
 decodes back to the exact input.
 """
 
-from voicepack import AlgorithmId, CodecConfig, compress, decompress, sms_count
+from voicepack import AlgorithmId, compress, decompress, sms_count
 from voicepack.bench import CorpusSpec, generate_corpus
-
-cfg = CodecConfig()
 
 # one synthetic "spoken sentence" payload from the benchmark corpus
 item = next(i for i in generate_corpus(CorpusSpec(seed=42))
@@ -19,18 +17,18 @@ print(f'payload: "{item.text}"')
 print(f"rendered as {len(payload)} octets of synthetic voice data\n")
 
 print(f"{'algorithm':>10} {'octets':>8} {'ratio':>7} {'sms':>5}")
-baseline = len(compress(payload, AlgorithmId.NONE, cfg).to_bytes())
+baseline = len(compress(payload, AlgorithmId.NONE).to_bytes())
 for alg in AlgorithmId:
-    blob = compress(payload, alg, cfg)
+    blob = compress(payload, alg)
     wire = blob.to_bytes()
-    assert decompress(blob, cfg) == payload, "lossless means lossless"
+    assert decompress(blob) == payload, "lossless means lossless"
     print(f"{alg.label:>10} {len(wire):>8} {baseline / len(wire):>7.2f} "
           f"{sms_count(len(wire)):>5}")
 
 print("\nevery stream decoded back to the identical payload")
 
 # the container is self-describing: magic, algorithm octet, original length
-blob = compress(payload, AlgorithmId.PPM, cfg)
+blob = compress(payload, AlgorithmId.PPM)
 head = blob.to_bytes()[:9]
 print(f"container header for ppm: {head.hex(' ')}")
 print("  = magic 'CVT1' | algorithm 0x04 | original length big-endian")

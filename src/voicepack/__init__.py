@@ -8,7 +8,6 @@ the algorithms by character count and SMS count.
 
 from voicepack.codecs import (
     AlgorithmId,
-    CodecConfig,
     CompressedBlob,
     DEFAULT_CONFIG,
     compress,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmId",
-    "CodecConfig",
     "CompressedBlob",
     "DEFAULT_CONFIG",
     "SmsBundle",

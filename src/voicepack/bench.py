@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from voicepack.codecs import AlgorithmId, DEFAULT_CONFIG, compress
+from voicepack.codecs import AlgorithmId, compress
 from voicepack.errors import ZeroCompressedSize
 from voicepack.pipeline import VoicePayload
 from voicepack.sms import sms_count
@@ -46,21 +46,20 @@ SENTENCE_IDS = tuple(_SENTENCES)
 
 _PALETTE_SIZE = 40
 _BRANCH_CHOICES = 13
+BYTES_PER_FRAME = 32
+NOISE_OCTETS_PER_FRAME = 2
 
 
 @dataclass(frozen=True)
 class CorpusSpec:
     seed: int = 42
-    bytes_per_frame: int = 32
     frames_per_word: int = 15
-    noise_octets_per_frame: int = 2
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        for name in ("bytes_per_frame", "frames_per_word", "noise_octets_per_frame"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        if self.frames_per_word < 1:
+            raise ValueError("frames_per_word must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,11 +133,11 @@ def _transitions(seed):
     return prefs
 
 
-def _word_frame(word, palette, prefs, nbytes):
+def _word_frame(word, palette, prefs):
     rng = random.Random(f"frame:{word}".encode())
     idx = _skewed_index(rng)
     out = bytearray()
-    for _ in range(nbytes):
+    for _ in range(BYTES_PER_FRAME):
         out.append(palette[idx])
         idx = prefs[idx][_branch_index(rng)]
     return bytes(out)
@@ -156,7 +155,7 @@ def generate_corpus(spec=CorpusSpec()):
         tokens = [w for w in text.split() if any(c.isalnum() for c in w)]
         for tok in tokens:
             if tok not in frames:
-                frames[tok] = _word_frame(tok, palette, prefs, spec.bytes_per_frame)
+                frames[tok] = _word_frame(tok, palette, prefs)
         for trial in range(1, TRIALS + 1):
             rng = random.Random(f"{spec.seed}/{sid}/{trial}".encode())
             payload = bytearray()
@@ -165,7 +164,7 @@ def generate_corpus(spec=CorpusSpec()):
                 frame = frames[tok]
                 for _ in range(spec.frames_per_word):
                     piece = bytearray(frame)
-                    for _ in range(spec.noise_octets_per_frame):
+                    for _ in range(NOISE_OCTETS_PER_FRAME):
                         pos = rng.getrandbits(16) % len(piece)
                         # perturb along the chain, like a re-spoken frame
                         prev = back[piece[pos - 1]] if pos else _skewed_index(rng)
@@ -190,24 +189,19 @@ def compression_ratio(original, compressed):
     return original / compressed
 
 
-def run_benchmark(corpus, algs=tuple(AlgorithmId), cfg=DEFAULT_CONFIG):
-    """One record per (item, algorithm); NONE is always included as baseline."""
+def run_benchmark(corpus):
+    """One record per (item, algorithm), NONE first as the baseline."""
     if not corpus:
         raise ValueError("empty corpus")
-    ordered = [AlgorithmId.NONE]
-    for alg in algs:
-        alg = AlgorithmId(alg)
-        if alg not in ordered:
-            ordered.append(alg)
     records = []
     for item in corpus:
         raw = item.payload.data
-        for alg in ordered:
+        for alg in AlgorithmId:
             t0 = time.perf_counter_ns()
-            blob = compress(raw, alg, cfg)
+            blob = compress(raw, alg)
             micros = (time.perf_counter_ns() - t0) // 1000
             size = len(blob.to_bytes())
-            if alg is AlgorithmId.NONE:  # first in `ordered`: the baseline size
+            if alg is AlgorithmId.NONE:  # first in AlgorithmId: the baseline size
                 original = size
             records.append(BenchmarkRecord(
                 sentence_id=item.sentence_id,

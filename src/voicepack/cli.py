@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from voicepack import bench, sms
-from voicepack.codecs import (AlgorithmId, CodecConfig, CompressedBlob, DEFAULT_CONFIG,
-                              compress, decompress)
+from voicepack.codecs import AlgorithmId, CompressedBlob, compress, decompress
 from voicepack.errors import VoicepackError
 from voicepack.pipeline import SmsBundle, decode_message, encode_message
 
@@ -30,20 +29,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_codec_flags(p, with_alg=True, alg_default="ppm"):
-    if with_alg:
-        p.add_argument("--alg", choices=_ALG_CHOICES, default=alg_default,
-                       help=f"compression algorithm (default {alg_default})")
-    lzw_bits = DEFAULT_CONFIG.lzw_max_code_bits
-    ppm_order = DEFAULT_CONFIG.ppm_order
-    p.add_argument("--lzw-bits", type=int, default=lzw_bits, metavar="N",
-                   help=f"maximum LZW code width, 9..16 (default {lzw_bits})")
-    p.add_argument("--ppm-order", type=int, default=ppm_order, metavar="K",
-                   help=f"PPM context order, 0..8 (default {ppm_order})")
-
-
-def _config(args):
-    return CodecConfig(lzw_max_code_bits=args.lzw_bits, ppm_order=args.ppm_order)
+def _add_alg_flag(p):
+    p.add_argument("--alg", choices=_ALG_CHOICES, default="ppm",
+                   help="compression algorithm (default ppm)")
 
 
 def _root(args):
@@ -59,24 +47,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("compress", parents=[], help="compress a file into a container")
-    _add_codec_flags(p)
+    _add_alg_flag(p)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
 
     p = sub.add_parser("decompress", help="restore a file from a container")
-    _add_codec_flags(p, with_alg=False)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
 
     p = sub.add_parser("send", help="compress a payload file and write SMS segments")
-    _add_codec_flags(p)
+    _add_alg_flag(p)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--root", metavar="DIR", help=f"transport root (default ${ENV_ROOT})")
     p.add_argument("--ref", type=int, default=1, metavar="N",
                    help="message reference octet (default 1)")
 
     p = sub.add_parser("receive", help="reassemble inbox segments and restore the payload")
-    _add_codec_flags(p, with_alg=False)
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
     p.add_argument("--root", metavar="DIR", help=f"transport root (default ${ENV_ROOT})")
     p.add_argument("--ref", type=int, default=1, metavar="N")
@@ -96,7 +82,7 @@ def build_parser():
 
 def _cmd_compress(args):
     data = Path(args.in_path).read_bytes()
-    blob = compress(data, AlgorithmId.from_label(args.alg), _config(args))
+    blob = compress(data, AlgorithmId.from_label(args.alg))
     Path(args.out_path).write_bytes(blob.to_bytes())
     print(args.out_path)
     return 0
@@ -104,15 +90,14 @@ def _cmd_compress(args):
 
 def _cmd_decompress(args):
     blob = CompressedBlob.parse(Path(args.in_path).read_bytes())
-    Path(args.out_path).write_bytes(decompress(blob, _config(args)))
+    Path(args.out_path).write_bytes(decompress(blob))
     print(args.out_path)
     return 0
 
 
 def _cmd_send(args):
     data = Path(args.in_path).read_bytes()
-    bundle = encode_message(data, AlgorithmId.from_label(args.alg), _config(args),
-                            ref=args.ref)
+    bundle = encode_message(data, AlgorithmId.from_label(args.alg), ref=args.ref)
     tdir = _root(args)
     for seg in bundle.segments:
         print(sms.outbox_write(seg, tdir))
@@ -122,7 +107,7 @@ def _cmd_send(args):
 def _cmd_receive(args):
     segments = sms.inbox_collect(_root(args), args.ref)
     bundle = SmsBundle(args.ref, tuple(segments), None)
-    Path(args.out_path).write_bytes(decode_message(bundle, _config(args)).data)
+    Path(args.out_path).write_bytes(decode_message(bundle).data)
     print(args.out_path)
     return 0
 

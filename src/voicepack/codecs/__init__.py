@@ -1,11 +1,10 @@
 """Six lossless codecs behind one compress/decompress pair.
 
 Every algorithm round-trips any octet sequence exactly.  The serialized
-container is self-describing up to the codec parameters: magic "CVT1",
-one algorithm octet, the original length as 4 octets big-endian, then
-the algorithm's payload.  Parameters that change the decode side (LZW
-code width, PPM order) are not serialized and must match between the
-two ends; the defaults are the interoperable baseline.
+container is self-describing: magic "CVT1", one algorithm octet, the
+original length as 4 octets big-endian, then the algorithm's payload.
+Every codec parameter is a fixed constant, so the container is all a
+receiver needs.
 """
 
 import struct
@@ -44,16 +43,10 @@ class AlgorithmId(IntEnum):
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """The decode-side parameters left open by the algorithm definitions."""
+    """The fixed LZW code width and PPM order every container is coded with."""
 
     lzw_max_code_bits: int = 14
     ppm_order: int = 3
-
-    def __post_init__(self):
-        if not 9 <= self.lzw_max_code_bits <= 16:
-            raise ValueError("lzw_max_code_bits must be in 9..16")
-        if not 0 <= self.ppm_order <= 8:
-            raise ValueError("ppm_order must be in 0..8")
 
 
 DEFAULT_CONFIG = CodecConfig()
@@ -85,51 +78,51 @@ class CompressedBlob:
         return cls(alg, original_len, bytes(raw[HEADER_LEN:]))
 
 
-# algorithm -> (encode(data, cfg), decode(payload, original_len, cfg)).
+# algorithm -> (encode(data), decode(payload, original_len)).
 # Each entry looks its codec function up when called, so code that
 # replaces a module attribute (tracing, test doubles) sees the call.
 _CODECS = {
     AlgorithmId.NONE: (
-        lambda data, cfg: data,
-        lambda payload, n, cfg: payload),
+        lambda data: data,
+        lambda payload, n: payload),
     AlgorithmId.LZW: (
-        lambda data, cfg: lzw.encode_payload(data, cfg.lzw_max_code_bits),
-        lambda payload, n, cfg: lzw.decode_payload(payload, n, cfg.lzw_max_code_bits)),
+        lambda data: lzw.encode_payload(data, DEFAULT_CONFIG.lzw_max_code_bits),
+        lambda payload, n: lzw.decode_payload(payload, n, DEFAULT_CONFIG.lzw_max_code_bits)),
     AlgorithmId.LZMA: (
-        lambda data, cfg: lz.encode_payload(data),
-        lambda payload, n, cfg: lz.decode_payload(payload, n)),
+        lambda data: lz.encode_payload(data),
+        lambda payload, n: lz.decode_payload(payload, n)),
     AlgorithmId.HUFFMAN: (
-        lambda data, cfg: huffman.huffman_encode(data),
-        lambda payload, n, cfg: huffman.huffman_decode(payload, n)),
+        lambda data: huffman.huffman_encode(data),
+        lambda payload, n: huffman.huffman_decode(payload, n)),
     AlgorithmId.PPM: (
-        lambda data, cfg: ppm.ppm_encode(data, cfg.ppm_order),
-        lambda payload, n, cfg: ppm.ppm_decode(payload, n, cfg.ppm_order)),
+        lambda data: ppm.ppm_encode(data, DEFAULT_CONFIG.ppm_order),
+        lambda payload, n: ppm.ppm_decode(payload, n, DEFAULT_CONFIG.ppm_order)),
     AlgorithmId.AC: (
-        lambda data, cfg: arith.ac_encode(data),
-        lambda payload, n, cfg: arith.ac_decode(payload, n)),
+        lambda data: arith.ac_encode(data),
+        lambda payload, n: arith.ac_decode(payload, n)),
     AlgorithmId.BWT: (
-        lambda data, cfg: bwt.encode_payload(data),
-        lambda payload, n, cfg: bwt.decode_payload(payload, n)),
+        lambda data: bwt.encode_payload(data),
+        lambda payload, n: bwt.decode_payload(payload, n)),
 }
 
 
-def compress(data, alg, cfg=DEFAULT_CONFIG):
-    """Compress octets under one algorithm; deterministic per (data, alg, cfg)."""
+def compress(data, alg):
+    """Compress octets under one algorithm; deterministic per (data, alg)."""
     data = bytes(data)
     if len(data) >= 1 << 32:
         raise ValueError("input too large for a 32-bit length header")
     alg = AlgorithmId(alg)
     encode, _ = _CODECS[alg]
-    return CompressedBlob(alg, len(data), encode(data, cfg))
+    return CompressedBlob(alg, len(data), encode(data))
 
 
-def decompress(blob, cfg=DEFAULT_CONFIG):
-    """Exact inverse of compress for the same configuration."""
+def decompress(blob):
+    """Exact inverse of compress."""
     try:
         _, decode = _CODECS[blob.algorithm]
     except KeyError:
         raise UnknownAlgorithm(f"algorithm octet {blob.algorithm}") from None
-    out = decode(blob.payload, blob.original_len, cfg)
+    out = decode(blob.payload, blob.original_len)
     if len(out) != blob.original_len:
         raise CorruptStream("decoded length does not match header")
     return out

@@ -52,15 +52,6 @@ class ContextModel:
         self.order = order
         self._table = {}
 
-    def counts(self, context):
-        """Copy of the count map for one context (empty if never seen)."""
-        context = bytes(context)
-        key = int.from_bytes(context, "big") | _TAGS[len(context)]
-        ctx = self._table.get(key)
-        if ctx is None:
-            return {}
-        return dict(zip(ctx.syms, ctx.cnts))
-
     def update(self, hist, depth, sym):
         """Count `sym` under the contexts encoded in rolling hash `hist`.
 

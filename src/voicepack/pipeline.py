@@ -3,14 +3,13 @@
 Payload octets map one-to-one onto the 256 extended-ASCII code points
 (the Latin-1 identity), so character counts equal octet counts at every
 stage.  What actually rides in the segments is the serialized compressed
-container, making a received bundle self-describing up to codec
-parameters.
+container, making a received bundle self-describing.
 """
 
 from dataclasses import dataclass
 
 from voicepack import sms
-from voicepack.codecs import AlgorithmId, CompressedBlob, DEFAULT_CONFIG, compress, decompress
+from voicepack.codecs import AlgorithmId, CompressedBlob, compress, decompress
 from voicepack.errors import NonExtAsciiCodePoint
 
 
@@ -41,19 +40,19 @@ def ext_ascii_to_bytes(text):
             f"code point U+{ord(text[exc.start]):04X} does not fit one octet") from None
 
 
-def encode_message(voice, alg, cfg=DEFAULT_CONFIG, ref=0):
+def encode_message(voice, alg, ref=0):
     """Compress a payload and split the serialized blob into segments."""
     if isinstance(voice, (bytes, bytearray)):
         voice = VoicePayload(bytes(voice))
     alg = AlgorithmId(alg)
-    blob = compress(voice.data, alg, cfg)
+    blob = compress(voice.data, alg)
     parts = sms.segment(blob.to_bytes(), ref)
     return SmsBundle(ref, tuple(parts), alg)
 
 
-def decode_message(bundle, cfg=DEFAULT_CONFIG):
+def decode_message(bundle):
     """Reassemble, parse and decompress a bundle back to the payload."""
     raw = sms.reassemble(list(bundle.segments))
     blob = CompressedBlob.parse(raw)
-    data = decompress(blob, cfg)
+    data = decompress(blob)
     return VoicePayload(data, f"sms ref {bundle.reference}")

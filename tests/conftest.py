@@ -5,7 +5,6 @@ import random
 import pytest
 
 from voicepack import bench
-from voicepack.codecs import CodecConfig
 
 
 def make_payload(rng, n, kind):
@@ -45,11 +44,6 @@ def mixed_payloads(seed, count, max_len=10_000):
             n = min(n, max_len)
         payloads.append(make_payload(rng, n, PAYLOAD_KINDS[i % len(PAYLOAD_KINDS)]))
     return payloads
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return CodecConfig()
 
 
 @pytest.fixture(scope="session")

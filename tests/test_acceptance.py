@@ -18,7 +18,7 @@ from test_huffman import optimal_cost, table_cost
 
 from voicepack import bench
 from voicepack.cli import main as cli_main
-from voicepack.codecs import AlgorithmId, DEFAULT_CONFIG, compress, decompress
+from voicepack.codecs import AlgorithmId, compress, decompress
 from voicepack.codecs.arith import ac_encode
 from voicepack.codecs.bwt import BwtBlock, bwt_forward, bwt_inverse
 from voicepack.sms import reassemble, segment, sms_count
@@ -56,7 +56,7 @@ def test_criterion_01_roundtrip_suite():
     failures = 0
     for alg in AlgorithmId:
         for data in payloads:
-            if decompress(compress(data, alg, DEFAULT_CONFIG), DEFAULT_CONFIG) != data:
+            if decompress(compress(data, alg)) != data:
                 failures += 1
     elapsed = time.monotonic() - started
     assert failures == 0

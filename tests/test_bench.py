@@ -27,7 +27,7 @@ def test_corpus_cardinality_and_sizes():
     corpus = bench.generate_corpus(spec)
     assert len(corpus) == 90
     by_id = {i.sentence_id: i for i in corpus if i.trial == 1}
-    # generator formula: words x frames_per_word x bytes_per_frame
+    # generator formula: words x frames_per_word x BYTES_PER_FRAME
     assert len(by_id["S4"].payload.data) == 5 * 15 * 32 == 2400
     assert len(by_id["S5"].payload.data) == 2 * 2400
     assert len(by_id["S6"].payload.data) == 3 * 2400
@@ -45,7 +45,7 @@ def test_corpus_deterministic_and_trial_noise():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        bench.CorpusSpec(bytes_per_frame=0)
+        bench.CorpusSpec(frames_per_word=0)
     with pytest.raises(ValueError):
         bench.CorpusSpec(seed=-1)
 

@@ -7,7 +7,6 @@ import pytest
 from conftest import PAYLOAD_KINDS, make_payload
 from voicepack.codecs import (
     AlgorithmId,
-    CodecConfig,
     CompressedBlob,
     compress,
     decompress,
@@ -87,14 +86,6 @@ def test_determinism(alg):
     assert compress(data, alg).to_bytes() == compress(data, alg).to_bytes()
 
 
-def test_nondefault_config_roundtrip():
-    cfg = CodecConfig(lzw_max_code_bits=11, ppm_order=2)
-    rng = random.Random(78)
-    data = make_payload(rng, 3000, "repeat")
-    for alg in ALL:
-        assert decompress(compress(data, alg, cfg), cfg) == data
-
-
 @pytest.mark.parametrize("alg", [AlgorithmId.LZW, AlgorithmId.LZMA,
                                  AlgorithmId.PPM, AlgorithmId.BWT])
 def test_self_concatenation_amortizes(alg):
@@ -120,13 +111,3 @@ def test_none_length_mismatch_raises():
     with pytest.raises(CorruptStream):
         decompress(blob)
 
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        CodecConfig(lzw_max_code_bits=8)
-    with pytest.raises(ValueError):
-        CodecConfig(lzw_max_code_bits=17)
-    with pytest.raises(ValueError):
-        CodecConfig(ppm_order=9)
-    with pytest.raises(TypeError):
-        CodecConfig(bwt_block_size=128)

@@ -28,8 +28,24 @@ def test_help_documents_flags(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["compress", "--help"])
     out = capsys.readouterr().out
-    for flag in ("--alg", "--lzw-bits", "--ppm-order", "--in", "--out"):
+    for flag in ("--alg", "--in", "--out"):
         assert flag in out
+
+
+@pytest.mark.parametrize("flag", [["--ppm-order", "2"], ["--lzw-bits", "10"]])
+def test_codec_parameter_flags_are_usage_errors(tmp_path, capsys, flag):
+    # the LZW width and PPM order are fixed constants, not options
+    src = tmp_path / "clip.bin"
+    src.write_bytes(b"voice payload " * 20)
+    cvt = tmp_path / "clip.cvt"
+    cvt.write_bytes(compress(src.read_bytes(), AlgorithmId.PPM).to_bytes())
+    root = ["--root", str(tmp_path / "t")]
+    for args in (["compress", "--in", str(src), "--out", str(tmp_path / "o.cvt")],
+                 ["decompress", "--in", str(cvt), "--out", str(tmp_path / "o.bin")],
+                 ["send", "--in", str(src)] + root,
+                 ["receive", "--out", str(tmp_path / "r.bin")] + root):
+        assert run_cli(args + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_flag_usage_error(capsys):

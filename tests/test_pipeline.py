@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from voicepack.codecs import AlgorithmId, CodecConfig, CompressedBlob
+from voicepack.codecs import AlgorithmId, CompressedBlob
 from voicepack.errors import MissingSegment, NonExtAsciiCodePoint
 from voicepack.pipeline import (
     SmsBundle,
@@ -61,14 +61,6 @@ def test_roundtrip_every_algorithm():
         assert bundle.algorithm == alg
         back = decode_message(bundle)
         assert back.data == data
-
-
-def test_roundtrip_nondefault_config():
-    cfg = CodecConfig(ppm_order=1, lzw_max_code_bits=10)
-    data = os.urandom(900)
-    for alg in (AlgorithmId.PPM, AlgorithmId.LZW):
-        bundle = encode_message(VoicePayload(data), alg, cfg, ref=2)
-        assert decode_message(bundle, cfg).data == data
 
 
 def test_bundle_segments_share_reference_and_total():
