@@ -5,6 +5,13 @@ end-of-stream symbol, and feeds cumulative frequencies to the range coder.
 Counts move in steps of ADAPT_INCREMENT so the model locks onto skewed
 sources quickly, and are halved (never below 1) once the running total
 passes MAX_TOTAL, which also keeps totals inside the coder's precision.
+
+Cumulative frequencies come from the flat count list plus one running sum
+per block of BLOCK_WIDTH = 16 consecutive symbols.  The octet and BWT
+token alphabets have 257 symbols, so there are 17 blocks (the last holds
+only symbol 256): a lookup adds at most 16 block sums and 15 counts, and
+an update changes one count and one block sum, where a cumulative-frequency
+tree over 257 symbols would walk up to 9 nodes per update.
 """
 
 from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
@@ -14,82 +21,66 @@ EOS = 256
 ADAPT_INCREMENT = 32
 MAX_TOTAL = 1 << 16
 
+BLOCK_SHIFT = 4
+BLOCK_WIDTH = 1 << BLOCK_SHIFT
+
 
 class AdaptiveModel:
-    """Cumulative symbol counts maintained in a Fenwick tree."""
+    """Symbol counts with a running sum per block of BLOCK_WIDTH symbols.
 
-    __slots__ = ("n", "counts", "total", "_tree", "_topbit")
+    `_blocks[k]` is the sum of `counts[k * BLOCK_WIDTH:(k + 1) * BLOCK_WIDTH]`
+    (the last block may be partial), and `total` the sum of all counts.
+    """
+
+    __slots__ = ("counts", "total", "_blocks")
 
     def __init__(self, num_symbols):
-        self.n = num_symbols
-        self.counts = [1] * num_symbols
-        self.total = num_symbols
-        topbit = 1
-        while topbit * 2 <= num_symbols:
-            topbit *= 2
-        self._topbit = topbit
-        self._rebuild()
+        self._set_counts([1] * num_symbols)
 
-    def _rebuild(self):
-        n = self.n
-        tree = [0] * (n + 1)
-        counts = self.counts
-        for i in range(1, n + 1):
-            tree[i] += counts[i - 1]
-            j = i + (i & -i)
-            if j <= n:
-                tree[j] += tree[i]
-        self._tree = tree
-
-    def _prefix(self, s):
-        """Sum of counts below symbol s."""
-        acc = 0
-        tree = self._tree
-        while s:
-            acc += tree[s]
-            s -= s & -s
-        return acc
-
-    def _find(self, v):
-        """Symbol whose cumulative slot contains v, plus its low bound."""
-        pos = 0
-        rem = v
-        bit = self._topbit
-        tree = self._tree
-        n = self.n
-        while bit:
-            npos = pos + bit
-            if npos <= n and tree[npos] <= rem:
-                rem -= tree[npos]
-                pos = npos
-            bit >>= 1
-        return pos, v - rem
-
-    def _bump(self, s):
-        inc = ADAPT_INCREMENT
-        self.counts[s] += inc
-        i = s + 1
-        tree = self._tree
-        n = self.n
-        while i <= n:
-            tree[i] += inc
-            i += i & -i
-        self.total += inc
-        if self.total > MAX_TOTAL:
-            counts = [max(1, c >> 1) for c in self.counts]
-            self.counts = counts
-            self.total = sum(counts)
-            self._rebuild()
+    def _set_counts(self, counts):
+        self.counts = counts
+        self.total = sum(counts)
+        self._blocks = [sum(counts[i:i + BLOCK_WIDTH])
+                        for i in range(0, len(counts), BLOCK_WIDTH)]
 
     def encode(self, enc, s):
-        enc.encode(self._prefix(s), self.counts[s], self.total)
-        self._bump(s)
+        counts = self.counts
+        blocks = self._blocks
+        b = s >> BLOCK_SHIFT
+        total = self.total
+        enc.encode(sum(blocks[:b]) + sum(counts[b << BLOCK_SHIFT:s]),
+                   counts[s], total)
+        counts[s] += ADAPT_INCREMENT
+        blocks[b] += ADAPT_INCREMENT
+        total += ADAPT_INCREMENT
+        if total > MAX_TOTAL:
+            self._set_counts([max(1, c >> 1) for c in counts])
+        else:
+            self.total = total
 
     def decode(self, dec):
-        v = dec.decode_freq(self.total)
-        s, cum = self._find(v)
-        dec.decode_update(cum, self.counts[s], self.total)
-        self._bump(s)
+        total = self.total
+        v = dec.decode_freq(total)
+        # v < total, so both walks stop inside the lists
+        blocks = self._blocks
+        b = 0
+        rem = v
+        while rem >= blocks[b]:
+            rem -= blocks[b]
+            b += 1
+        counts = self.counts
+        s = b << BLOCK_SHIFT
+        while rem >= counts[s]:
+            rem -= counts[s]
+            s += 1
+        dec.decode_update(v - rem, counts[s], total)
+        counts[s] += ADAPT_INCREMENT
+        blocks[b] += ADAPT_INCREMENT
+        total += ADAPT_INCREMENT
+        if total > MAX_TOTAL:
+            self._set_counts([max(1, c >> 1) for c in counts])
+        else:
+            self.total = total
         return s
 
 

@@ -177,6 +177,9 @@ def decode_payload(payload, original_len):
         pos += _BLOCK_HDR.size
         if block_len == 0:
             raise CorruptStream("BWT block of length zero")
+        # checked before decoding, so a lying header costs no decode work
+        if block_len > BLOCK_SIZE or block_len > original_len - len(out):
+            raise CorruptStream("BWT block overruns block size or declared length")
         if end - pos < stream_len:
             raise CorruptStream("BWT block stream truncated")
         stream = payload[pos:pos + stream_len]

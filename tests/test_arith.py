@@ -48,34 +48,52 @@ def test_wrong_length_rejected():
         ac_decode(payload, 7)
 
 
+class _CoderStub:
+    """Stands in for both range coder ends: records each (cum, freq, total)
+    triple, and points the decoder at slot `v`."""
+
+    def __init__(self):
+        self.v = 0
+        self.triples = []
+
+    def encode(self, cum, freq, total):
+        self.triples.append((cum, freq, total))
+
+    def decode_freq(self, total):
+        return self.v
+
+    decode_update = encode
+
+
 def test_model_matches_naive_counts():
-    # enough draws to pass MAX_TOTAL several times, so the Fenwick tree
-    # rebuilt after each halving is checked against the naive counts too
+    # enough draws to pass MAX_TOTAL several times, so the block sums
+    # rebuilt after each halving are checked against the naive counts too;
+    # 257 is the production alphabet, whose last block holds one symbol.
+    # Two draws in three go to the top three symbols, so most decodes walk
+    # past every earlier block sum.
     rng = random.Random(9)
-    m = AdaptiveModel(16)
-    naive = [1] * 16
-    rescales = 0
-    for _ in range(6000):
-        s = rng.randrange(16)
-        assert m._prefix(s) == sum(naive[:s])
-        assert m.counts[s] == naive[s]
-        assert m.total == sum(naive)
-        v = rng.randrange(m.total)
-        sym, cum = m._find(v)
-        acc = 0
-        expect = None
-        for i, c in enumerate(naive):
-            if acc <= v < acc + c:
-                expect = (i, acc)
-                break
-            acc += c
-        assert (sym, cum) == expect
-        m._bump(s)
-        naive[s] += ADAPT_INCREMENT
-        if sum(naive) > MAX_TOTAL:
-            naive = [max(1, c >> 1) for c in naive]
-            rescales += 1
-    assert rescales >= 3
+    for n in (16, 257):
+        enc_model = AdaptiveModel(n)
+        dec_model = AdaptiveModel(n)
+        stub = _CoderStub()
+        naive = [1] * n
+        rescales = 0
+        for _ in range(6000):
+            s = rng.choice((rng.randrange(n), n - 1 - rng.randrange(3), n - 1 - rng.randrange(3)))
+            expect = (sum(naive[:s]), naive[s], sum(naive))
+            enc_model.encode(stub, s)
+            # first or last slot of the symbol's interval
+            stub.v = expect[0] + rng.choice((0, naive[s] - 1))
+            assert dec_model.decode(stub) == s
+            assert stub.triples == [expect, expect]
+            stub.triples.clear()
+            naive[s] += ADAPT_INCREMENT
+            if sum(naive) > MAX_TOTAL:
+                naive = [max(1, c >> 1) for c in naive]
+                rescales += 1
+            assert enc_model.counts == dec_model.counts == naive
+            assert enc_model.total == dec_model.total == sum(naive)
+        assert rescales >= 3
 
 
 def entropy_bits(probs):

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
+from voicepack.codecs import bwt
 from voicepack.codecs.bwt import (
+    BLOCK_SIZE,
     BwtBlock,
     bwt_forward,
     bwt_inverse,
@@ -144,3 +146,26 @@ def test_block_length_mismatch_raises():
     payload = encode_payload(b"xyz" * 10, 65536)
     with pytest.raises(CorruptStream):
         decode_payload(payload, 29)
+
+
+def test_block_overrunning_declared_length_not_decoded(monkeypatch):
+    # the second block's header alone shows it overruns the declared length
+    calls = []
+    inverse = bwt.bwt_inverse
+
+    def counting_inverse(block):
+        calls.append(block)
+        return inverse(block)
+
+    monkeypatch.setattr(bwt, "bwt_inverse", counting_inverse)
+    payload = encode_payload(bytes(2 * BLOCK_SIZE))
+    with pytest.raises(CorruptStream):
+        decode_payload(payload, BLOCK_SIZE)
+    assert len(calls) <= 1
+
+
+def test_block_longer_than_block_size_raises():
+    data = b"xyz" * (BLOCK_SIZE // 3) + b"xyz"[:BLOCK_SIZE % 3 + 1]
+    assert len(data) == BLOCK_SIZE + 1
+    with pytest.raises(CorruptStream):
+        decode_payload(encode_payload(data, BLOCK_SIZE + 1), BLOCK_SIZE + 1)
