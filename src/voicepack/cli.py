@@ -46,7 +46,7 @@ def build_parser():
                      description="Compress voice payloads and carry them over SMS segments.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("compress", parents=[], help="compress a file into a container")
+    p = sub.add_parser("compress", help="compress a file into a container")
     _add_alg_flag(p)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")

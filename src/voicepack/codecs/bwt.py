@@ -150,10 +150,10 @@ def mtf_rle_encode(data):
     return rle0_encode(mtf_encode(data))
 
 
-def encode_payload(data, block_size=BLOCK_SIZE):
+def encode_payload(data):
     out = bytearray()
-    for at in range(0, len(data), block_size):
-        chunk = data[at:at + block_size]
+    for at in range(0, len(data), BLOCK_SIZE):
+        chunk = data[at:at + BLOCK_SIZE]
         fwd = bwt_forward(chunk)
         enc = RangeEncoder()
         model = AdaptiveModel(_TOKEN_ALPHABET)

@@ -40,7 +40,7 @@ def lz77_parse(data):
     while i < n:
         best_len = 0
         best_pos = -1
-        if i + MIN_MATCH <= n and i + 3 <= n:
+        if i + 3 <= n:
             key = data[i:i + 3]
             cand = get(key, -1)
             limit = i - WINDOW

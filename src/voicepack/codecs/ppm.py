@@ -5,9 +5,14 @@ context also prices an escape equal to its number of distinct symbols.
 Coding starts at the longest available context and walks down one order
 per escape, excluding symbols already rejected at higher orders, until
 an order -1 model uniform over the 256 octets plus end-of-stream.
-Contexts that have never produced a symbol are skipped silently, as is
-any context whose symbols are all excluded (its escape would span the
-whole interval and cost nothing).
+
+Every symbol is counted under all of its contexts, orders 0..k, and
+halving never drops one, so the symbols of a context are a subset of
+those of each shorter context ending in it.  The excluded symbols are
+therefore exactly the sorted symbol list of the last context that
+escaped, and every context is coded the same way: from a copy of its
+counts with the excluded entries zeroed.  A context with no symbol left
+after exclusion is passed over like one never seen.
 
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
@@ -78,123 +83,78 @@ class ContextModel:
                 ctx.total = sum(cnts)
 
 
+def _masked_counts(ctx, excl):
+    """Counts of `ctx` with the excluded symbols zeroed, and their sum.
+
+    `excl` is a subset of `ctx.syms` (see the module docstring), so each
+    excluded symbol is found by bisection.
+    """
+    cnts = ctx.cnts
+    if not excl:
+        return cnts, ctx.total
+    syms = ctx.syms
+    cnts = cnts[:]
+    avail = ctx.total
+    for e in excl:
+        i = bisect_left(syms, e)
+        avail -= cnts[i]
+        cnts[i] = 0
+    return cnts, avail
+
+
 def _encode_symbol(enc, table, order, hist, depth, sym):
-    excl = None
+    excl = ()
     for o in range(min(order, depth), -1, -1):
         ctx = table.get((hist & _MASKS[o]) | _TAGS[o])
         if ctx is None:
             continue
         syms = ctx.syms
-        cnts = ctx.cnts
         esc = len(syms)
-        if excl is None:
-            avail = ctx.total
-            idx = bisect_left(syms, sym)
-            if idx < esc and syms[idx] == sym:
-                enc.encode(sum(cnts[:idx]), cnts[idx], avail + esc)
-                return
-            enc.encode(avail, esc, avail + esc)
-            excl = set(syms)
-        elif esc == 256:
-            # fully populated context: syms[i] == i, so corrections for the
-            # excluded symbols are direct indexes instead of a full scan
-            avail = ctx.total - sum(map(cnts.__getitem__, excl))
-            if sym < 256 and sym not in excl:
-                corr_below = sum(cnts[e] for e in excl if e < sym)
-                enc.encode(sum(cnts[:sym]) - corr_below, cnts[sym], avail + esc)
-                return
-            if avail:
-                enc.encode(avail, esc, avail + esc)
-            excl.update(syms)
-        else:
-            avail = 0
-            cum = -1
-            freq = 0
-            for s, c in zip(syms, cnts):
-                if s in excl:
-                    continue
-                if s == sym:
-                    cum = avail
-                    freq = c
-                avail += c
-            if cum >= 0:
-                enc.encode(cum, freq, avail + esc)
-                return
-            if avail:
-                enc.encode(avail, esc, avail + esc)
-            excl.update(syms)
-    if excl:
-        ex = sorted(excl)
-        enc.encode(sym - bisect_left(ex, sym), 1, _NUM_MINUS1 - len(ex))
-    else:
-        enc.encode(sym, 1, _NUM_MINUS1)
+        if esc == len(excl):  # excl is a subset of syms: nothing is left
+            continue
+        cnts, avail = _masked_counts(ctx, excl)
+        idx = bisect_left(syms, sym)
+        if idx < esc and syms[idx] == sym:
+            enc.encode(sum(cnts[:idx]), cnts[idx], avail + esc)
+            return
+        enc.encode(avail, esc, avail + esc)
+        excl = syms
+    enc.encode(sym - bisect_left(excl, sym), 1, _NUM_MINUS1 - len(excl))
 
 
 def _decode_symbol(dec, table, order, hist, depth):
-    excl = None
+    excl = ()
     for o in range(min(order, depth), -1, -1):
         ctx = table.get((hist & _MASKS[o]) | _TAGS[o])
         if ctx is None:
             continue
         syms = ctx.syms
-        cnts = ctx.cnts
         esc = len(syms)
-        if excl is None:
-            avail = ctx.total
-            total = avail + esc
-            v = dec.decode_freq(total)
-            if v >= avail:
-                dec.decode_update(avail, esc, total)
-                excl = set(syms)
-                continue
-            cums = list(accumulate(cnts))
-            idx = bisect_right(cums, v)
-            cum = cums[idx - 1] if idx else 0
-            dec.decode_update(cum, cnts[idx], total)
-            return syms[idx]
-        if esc == 256:
-            avail = ctx.total - sum(map(cnts.__getitem__, excl))
-        else:
-            avail = 0
-            for s, c in zip(syms, cnts):
-                if s not in excl:
-                    avail += c
-        if not avail:
-            excl.update(syms)
+        if esc == len(excl):  # excl is a subset of syms: nothing is left
             continue
+        cnts, avail = _masked_counts(ctx, excl)
         total = avail + esc
         v = dec.decode_freq(total)
         if v >= avail:
             dec.decode_update(avail, esc, total)
-            excl.update(syms)
+            excl = syms
             continue
-        cum = 0
-        for s, c in zip(syms, cnts):
-            if s in excl:
-                continue
-            nxt = cum + c
-            if nxt > v:
-                dec.decode_update(cum, c, total)
-                return s
-            cum = nxt
-        raise CorruptStream("context scan fell through")
-    if excl:
-        ex = sorted(excl)
-        total = _NUM_MINUS1 - len(ex)
-        v = dec.decode_freq(total)
-        dec.decode_update(v, 1, total)
-        s = v
-        for e in ex:
-            if e <= s:
-                s += 1
-        return s
-    v = dec.decode_freq(_NUM_MINUS1)
-    dec.decode_update(v, 1, _NUM_MINUS1)
+        cums = list(accumulate(cnts))
+        idx = bisect_right(cums, v)
+        cum = cums[idx - 1] if idx else 0
+        dec.decode_update(cum, cnts[idx], total)
+        return syms[idx]
+    total = _NUM_MINUS1 - len(excl)
+    v = dec.decode_freq(total)
+    dec.decode_update(v, 1, total)
+    for e in excl:
+        if e <= v:
+            v += 1
     return v
 
 
 def ppm_encode(data, order):
-    """Compress octets with an order-k mixed-context model."""
+    """Compress octets with an order-k context model."""
     model = ContextModel(order)
     table = model._table
     enc = RangeEncoder()

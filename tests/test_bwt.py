@@ -4,6 +4,7 @@ import random
 import pytest
 
 from voicepack.codecs import bwt
+from voicepack.codecs.arith import AdaptiveModel
 from voicepack.codecs.bwt import (
     BLOCK_SIZE,
     BwtBlock,
@@ -15,6 +16,7 @@ from voicepack.codecs.bwt import (
     mtf_encode,
     rle0_encode,
 )
+from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
 
 
@@ -123,19 +125,19 @@ def test_mtf_rle_composition():
 
 def test_payload_roundtrip_multiblock():
     rng = random.Random(19)
-    data = bytes(rng.choice(b"abcde") for _ in range(1000))
-    payload = encode_payload(data, 64)  # forces 16 blocks
+    data = bytes(rng.choice(b"abcde") for _ in range(BLOCK_SIZE + 1000))
+    payload = encode_payload(data)
+    assert bwt._BLOCK_HDR.unpack_from(payload)[0] == BLOCK_SIZE
     assert decode_payload(payload, len(data)) == data
-    assert decode_payload(encode_payload(data, 65536), len(data)) == data
 
 
 def test_payload_empty():
-    assert encode_payload(b"", 65536) == b""
+    assert encode_payload(b"") == b""
     assert decode_payload(b"", 0) == b""
 
 
 def test_truncated_payload_raises():
-    payload = encode_payload(b"compressible compressible compressible", 65536)
+    payload = encode_payload(b"compressible compressible compressible")
     with pytest.raises(CorruptStream):
         decode_payload(payload[:8], 39)
     with pytest.raises(CorruptStream):
@@ -143,7 +145,7 @@ def test_truncated_payload_raises():
 
 
 def test_block_length_mismatch_raises():
-    payload = encode_payload(b"xyz" * 10, 65536)
+    payload = encode_payload(b"xyz" * 10)
     with pytest.raises(CorruptStream):
         decode_payload(payload, 29)
 
@@ -167,5 +169,13 @@ def test_block_overrunning_declared_length_not_decoded(monkeypatch):
 def test_block_longer_than_block_size_raises():
     data = b"xyz" * (BLOCK_SIZE // 3) + b"xyz"[:BLOCK_SIZE % 3 + 1]
     assert len(data) == BLOCK_SIZE + 1
+    # a well-formed block the encoder never writes: one token stream for it all
+    fwd = bwt_forward(data)
+    enc = RangeEncoder()
+    model = AdaptiveModel(bwt._TOKEN_ALPHABET)
+    for t in bwt.mtf_rle_encode(fwd.data):
+        model.encode(enc, t)
+    stream = enc.finish()
+    payload = bwt._BLOCK_HDR.pack(len(data), fwd.primary_index, len(stream)) + stream
     with pytest.raises(CorruptStream):
-        decode_payload(encode_payload(data, BLOCK_SIZE + 1), BLOCK_SIZE + 1)
+        decode_payload(payload, BLOCK_SIZE + 1)

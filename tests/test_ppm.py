@@ -52,6 +52,34 @@ def test_context_counts_match_brute_force():
         assert model_counts(model, context) == brute_counts(data, context, order)
 
 
+def halving_input():
+    """70,000 binary symbols: the order-0 context's counts halve once."""
+    rng = random.Random(10)
+    return bytes(rng.getrandbits(1) for _ in range(70_000))
+
+
+def skewed_input():
+    rng = random.Random(8)
+    return bytes(rng.getrandbits(8) & rng.getrandbits(8) for _ in range(6000))
+
+
+@pytest.mark.parametrize("make_data, order", [(skewed_input, 3), (halving_input, 2)])
+def test_context_symbols_within_suffix_context(make_data, order):
+    # the coder's exclusion set is the last escaped context's symbol list,
+    # which holds only because of this subset property
+    data = make_data()
+    model = ContextModel(order)
+    feed(model, data)
+    if make_data is halving_input:
+        assert sum(model_counts(model, b"").values()) < len(data)
+    for key, ctx in model._table.items():
+        length = key >> 64
+        context = (key & ROLL_MASK).to_bytes(length, "big")
+        assert model_counts(model, context).keys() == set(ctx.syms)
+        if length:
+            assert set(ctx.syms) <= model_counts(model, context[1:]).keys()
+
+
 def test_order_range_validated():
     with pytest.raises(ValueError):
         ContextModel(9)
@@ -80,14 +108,12 @@ def test_roundtrip_random():
 
 
 def test_roundtrip_skewed_random():
-    rng = random.Random(8)
-    data = bytes(rng.getrandbits(8) & rng.getrandbits(8) for _ in range(6000))
+    data = skewed_input()
     assert ppm_decode(ppm_encode(data, 3), len(data), 3) == data
 
 
 def test_rescale_path_roundtrips():
-    rng = random.Random(10)
-    data = bytes(rng.getrandbits(1) for _ in range(70_000))
+    data = halving_input()
     assert ppm_decode(ppm_encode(data, 2), len(data), 2) == data
 
 
