@@ -17,9 +17,13 @@ after exclusion is passed over like one never seen.
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
 
-Contexts are addressed by a rolling integer over the last 8 octets
-tagged with the context length, which avoids byte-string keys in the
-per-symbol loops.
+Contexts live in a trie: the child of a context under symbol s is that
+context followed by s, and each node keeps its children in a list
+parallel to its sorted symbols.  The model holds the active contexts,
+one per order 0..k (fewer near the start).  Counting a symbol in an
+active context finds its index in the node, and the child at that index
+is the next position's context one order up, so no context is ever
+looked up; nodes at depth k have no children.
 """
 
 from bisect import bisect_left, bisect_right
@@ -31,56 +35,62 @@ from voicepack.errors import CorruptStream
 EOS = 256
 _NUM_MINUS1 = 257
 _RESCALE_AT = (1 << 16) - 257
-_ROLL_MASK = (1 << 64) - 1
-
-_MASKS = [(1 << (8 * o)) - 1 for o in range(9)]
-_TAGS = [o << 64 for o in range(9)]
 
 
 class _Ctx:
-    __slots__ = ("syms", "cnts", "total")
+    __slots__ = ("syms", "cnts", "total", "kids")
 
-    def __init__(self):
+    def __init__(self, leaf):
         self.syms = []
         self.cnts = []
         self.total = 0
+        self.kids = None if leaf else []
 
 
 class ContextModel:
-    """Symbol counts for every context seen, orders 0..k."""
+    """Symbol counts for every context seen, orders 0..k, as a trie.
 
-    __slots__ = ("order", "_table")
+    `contexts` lists the active contexts of the next position, shortest
+    first; a context created but not yet counted in has no symbols.
+    """
+
+    __slots__ = ("order", "root", "contexts")
 
     def __init__(self, order):
         if not 0 <= order <= 8:
             raise ValueError("context order must be in 0..8")
         self.order = order
-        self._table = {}
+        self.root = _Ctx(order == 0)
+        self.contexts = [self.root]
 
     def update(self, hist, depth, sym):
-        """Count `sym` under the contexts encoded in rolling hash `hist`.
+        """Count `sym` in every active context and step to the next position.
 
-        `depth` limits the context length to the octets actually seen.
+        `hist` (the preceding octets) and `depth` (their number) are
+        unused, since the active contexts already encode both; they remain
+        because the benchmark's update replay passes them.
         """
-        table = self._table
-        for o in range(min(self.order, depth) + 1):
-            key = (hist & _MASKS[o]) | _TAGS[o]
-            ctx = table.get(key)
-            if ctx is None:
-                ctx = _Ctx()
-                table[key] = ctx
+        order = self.order
+        nxt = [self.root]
+        for ctx in self.contexts:
             syms = ctx.syms
+            kids = ctx.kids
             idx = bisect_left(syms, sym)
-            if idx < len(syms) and syms[idx] == sym:
-                ctx.cnts[idx] += 1
-            else:
+            if idx == len(syms) or syms[idx] != sym:
                 syms.insert(idx, sym)
-                ctx.cnts.insert(idx, 1)
+                ctx.cnts.insert(idx, 0)
+                if kids is not None:
+                    # the new child's depth is len(nxt), one more than ctx's
+                    kids.insert(idx, _Ctx(len(nxt) == order))
+            ctx.cnts[idx] += 1
+            if kids is not None:
+                nxt.append(kids[idx])
             ctx.total += 1
             if ctx.total >= _RESCALE_AT:
                 cnts = [max(1, c >> 1) for c in ctx.cnts]
                 ctx.cnts = cnts
                 ctx.total = sum(cnts)
+        self.contexts = nxt
 
 
 def _masked_counts(ctx, excl):
@@ -102,12 +112,9 @@ def _masked_counts(ctx, excl):
     return cnts, avail
 
 
-def _encode_symbol(enc, table, order, hist, depth, sym):
+def _encode_symbol(enc, contexts, sym):
     excl = ()
-    for o in range(min(order, depth), -1, -1):
-        ctx = table.get((hist & _MASKS[o]) | _TAGS[o])
-        if ctx is None:
-            continue
+    for ctx in reversed(contexts):
         syms = ctx.syms
         esc = len(syms)
         if esc == len(excl):  # excl is a subset of syms: nothing is left
@@ -122,12 +129,9 @@ def _encode_symbol(enc, table, order, hist, depth, sym):
     enc.encode(sym - bisect_left(excl, sym), 1, _NUM_MINUS1 - len(excl))
 
 
-def _decode_symbol(dec, table, order, hist, depth):
+def _decode_symbol(dec, contexts):
     excl = ()
-    for o in range(min(order, depth), -1, -1):
-        ctx = table.get((hist & _MASKS[o]) | _TAGS[o])
-        if ctx is None:
-            continue
+    for ctx in reversed(contexts):
         syms = ctx.syms
         esc = len(syms)
         if esc == len(excl):  # excl is a subset of syms: nothing is left
@@ -156,37 +160,29 @@ def _decode_symbol(dec, table, order, hist, depth):
 def ppm_encode(data, order):
     """Compress octets with an order-k context model."""
     model = ContextModel(order)
-    table = model._table
     enc = RangeEncoder()
     update = model.update
-    hist = 0
-    for depth, sym in enumerate(data):
-        _encode_symbol(enc, table, order, hist, depth, sym)
-        update(hist, depth, sym)
-        hist = ((hist << 8) | sym) & _ROLL_MASK
-    _encode_symbol(enc, table, order, hist, len(data), EOS)
+    for sym in data:
+        _encode_symbol(enc, model.contexts, sym)
+        update(None, None, sym)
+    _encode_symbol(enc, model.contexts, EOS)
     return enc.finish()
 
 
 def ppm_decode(payload, original_len, order):
     """Inverse of ppm_encode; the declared length bounds the output."""
     model = ContextModel(order)
-    table = model._table
     dec = RangeDecoder(payload)
     update = model.update
     out = bytearray()
-    hist = 0
-    depth = 0
     while True:
-        sym = _decode_symbol(dec, table, order, hist, depth)
+        sym = _decode_symbol(dec, model.contexts)
         if sym == EOS:
             break
         out.append(sym)
         if len(out) > original_len:
             raise CorruptStream("PPM stream overruns declared length")
-        update(hist, depth, sym)
-        hist = ((hist << 8) | sym) & _ROLL_MASK
-        depth += 1
+        update(None, None, sym)
     if len(out) != original_len:
         raise CorruptStream("PPM stream ended short of declared length")
     return bytes(out)

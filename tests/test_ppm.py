@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -18,10 +19,20 @@ def feed(model, data):
 
 
 def model_counts(model, context):
-    """The model's count map for one context, keyed the way update keys it."""
-    key = int.from_bytes(context, "big") | len(context) << 64
-    ctx = model._table.get(key)
-    return {} if ctx is None else dict(zip(ctx.syms, ctx.cnts))
+    """The model's count map for one context, found by following child links."""
+    node = model.root
+    for octet in context:
+        if node.kids is None or octet not in node.syms:
+            return {}
+        node = node.kids[node.syms.index(octet)]
+    return dict(zip(node.syms, node.cnts))
+
+
+def trie_nodes(node, context=b""):
+    """Every (context, node) pair of the trie under `node`."""
+    yield context, node
+    for octet, kid in zip(node.syms, node.kids or ()):
+        yield from trie_nodes(kid, context + bytes([octet]))
 
 
 def brute_counts(data, context, order):
@@ -72,12 +83,14 @@ def test_context_symbols_within_suffix_context(make_data, order):
     feed(model, data)
     if make_data is halving_input:
         assert sum(model_counts(model, b"").values()) < len(data)
-    for key, ctx in model._table.items():
-        length = key >> 64
-        context = (key & ROLL_MASK).to_bytes(length, "big")
-        assert model_counts(model, context).keys() == set(ctx.syms)
-        if length:
-            assert set(ctx.syms) <= model_counts(model, context[1:]).keys()
+    for context, node in trie_nodes(model.root):
+        if len(context) == order:
+            assert node.kids is None
+        else:
+            assert len(node.kids) == len(node.syms)
+        assert model_counts(model, context).keys() == set(node.syms)
+        if context:
+            assert set(node.syms) <= model_counts(model, context[1:]).keys()
 
 
 def test_order_range_validated():
@@ -110,6 +123,20 @@ def test_roundtrip_random():
 def test_roundtrip_skewed_random():
     data = skewed_input()
     assert ppm_decode(ppm_encode(data, 3), len(data), 3) == data
+
+
+# tests/test_golden.py pins order 3 only; these pin the other orders,
+# including order 0 (the root is a leaf) and the depth-k leaf boundary.
+@pytest.mark.parametrize("make_data, order, digest", [
+    (skewed_input, 0, "ee6fcdcbf41e25a0b90fc2160060c5e38cce8561153aafa484613f6a9da53d02"),
+    (skewed_input, 1, "199826377058bce4b3184a01f3bc608df19dd55e855f2a2964ae09098d1ecd39"),
+    (skewed_input, 2, "7455fd4442ec298b784a53d4b65fe931d5e1c3387ba5534b335ef056fca01dc7"),
+    (skewed_input, 4, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
+    (skewed_input, 5, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
+    (halving_input, 2, "e8c2ef3c7eaf33042aa829e1c7d0431d85112d9b662b3c04993fdb699d1eaed5"),
+])
+def test_payload_digests_pinned(make_data, order, digest):
+    assert hashlib.sha256(ppm_encode(make_data(), order)).hexdigest() == digest
 
 
 def test_rescale_path_roundtrips():

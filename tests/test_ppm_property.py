@@ -1,5 +1,5 @@
-"""Property test: a damaged PPM payload decodes to the declared length or
-raises a VoicepackError, never anything else."""
+"""Property test: at any order 0..5, a damaged PPM payload decodes to the
+declared length or raises a VoicepackError, never anything else."""
 
 import pytest
 
@@ -10,8 +10,6 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 settings = hypothesis.settings(max_examples=150, deadline=None)
-
-ORDER = 3
 
 # Runs give deep contexts and long escape chains; uniform bytes give
 # order -1 codes under large exclusion lists.
@@ -25,7 +23,8 @@ payloads = st.one_of(
 @settings
 @given(payloads, st.data())
 def test_mutated_payload_decodes_or_raises(data, draw):
-    payload = bytearray(ppm_encode(data, ORDER))
+    order = draw.draw(st.integers(0, 5))
+    payload = bytearray(ppm_encode(data, order))
     if payload and draw.draw(st.booleans()):
         at = draw.draw(st.integers(0, len(payload) - 1))
         payload[at] ^= draw.draw(st.integers(1, 255))
@@ -33,7 +32,7 @@ def test_mutated_payload_decodes_or_raises(data, draw):
         del payload[draw.draw(st.integers(0, len(payload))):]
     original_len = draw.draw(st.sampled_from([len(data), len(data) + 1, max(len(data) - 1, 0)]))
     try:
-        got = ppm_decode(bytes(payload), original_len, ORDER)
+        got = ppm_decode(bytes(payload), original_len, order)
     except VoicepackError:
         return
     assert len(got) == original_len
