@@ -1,9 +1,10 @@
 """Burrows-Wheeler block codec: transform, move-to-front, zero run
 lengths, then the adaptive coder.
 
-The forward transform sorts all cyclic rotations (prefix-doubling over
-ranks, stable, so equal rotations keep their original order) and keeps
-the index of the unrotated string instead of appending a sentinel.
+The forward transform sorts all cyclic rotations by prefix doubling,
+each round in two stable radix passes over 16-bit ranks (Manber & Myers
+1993), so equal rotations keep their original order; it keeps the index
+of the unrotated string instead of appending a sentinel.
 
 Zero runs from the move-to-front stage are written in bijective base 2
 over two reserved tokens (RUNA=0, RUNB=1); any other move-to-front value
@@ -39,26 +40,31 @@ class BwtBlock:
 
 
 def bwt_forward(block):
-    """Last column of the sorted rotations plus the unrotated row's index."""
+    """Last column of the sorted rotations plus the unrotated row's index.
+
+    Each round sorts the (rank, rank k octets on) pairs by two stable
+    argsorts, second key first.  Ranks are below n, so a block of up to
+    BLOCK_SIZE = 2**16 octets keeps them in uint16, which numpy sorts by
+    radix; only a longer block needs int64.
+    """
     n = len(block)
     if n == 0:
         return BwtBlock(b"", 0)
     if n == 1:
         return BwtBlock(bytes(block), 0)
     arr = np.frombuffer(bytes(block), dtype=np.uint8)
-    rank = arr.astype(np.int64)
-    idx = np.arange(n, dtype=np.int64)
+    dtype = np.uint16 if n <= 1 << 16 else np.int64
+    rank = arr.astype(dtype)
     k = 1
     while k < n:
-        key2 = rank[(idx + k) % n]
-        order = np.lexsort((key2, rank))
+        key2 = np.roll(rank, -k)
+        order = np.argsort(key2, kind="stable")
+        order = order[np.argsort(rank[order], kind="stable")]
         r1 = rank[order]
         r2 = key2[order]
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        changed[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        new_rank = np.cumsum(changed)
-        rank = np.empty(n, dtype=np.int64)
+        new_rank = np.zeros(n, dtype=dtype)
+        changed = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
+        np.cumsum(changed, dtype=dtype, out=new_rank[1:])
         rank[order] = new_rank
         if new_rank[-1] == n - 1:
             break

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -18,6 +19,9 @@ from voicepack.codecs.bwt import (
 )
 from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
+
+# one octet over BLOCK_SIZE, so bwt_forward ranks it in int64
+XYZ_BLOCK = b"xyz" * (BLOCK_SIZE // 3) + b"xyz"[:BLOCK_SIZE % 3 + 1]
 
 
 def oracle_bwt(data):
@@ -65,6 +69,37 @@ def test_matches_oracle_random_bytes():
         blk = bwt_forward(data)
         assert (blk.data, blk.primary_index) == oracle_bwt(data)
         assert bwt_inverse(blk) == data
+
+
+@pytest.mark.parametrize("start, length", [
+    (0, 1024), (104_000, 2048), (116_000, 3072), (248_000, 3072),
+])
+def test_matches_oracle_corpus_slices(seed42_corpus, start, length):
+    # corpus text repeats at length: these slices take 6-7 doubling rounds
+    data = b"".join(item.payload.data for item in seed42_corpus)[start:start + length]
+    blk = bwt_forward(data)
+    assert (blk.data, blk.primary_index) == oracle_bwt(data)
+
+
+# Digests taken from the lexsort transform over int64 ranks.  Random
+# octets rank every rotation apart, up to 65535, the uint16 maximum;
+# XYZ_BLOCK's rotations are all distinct too, so its ranks reach 65536.
+# The periodic block doubles until k >= n and its equal rotations keep
+# their index order.
+@pytest.mark.parametrize("data, digest, primary", [
+    (random.Random(8).randbytes(BLOCK_SIZE),
+     "dcb2d9e3744b039dba511abc174d2abd7c1a055870a0a7070638c6790fd755c1", 13199),
+    (b"ab" * (BLOCK_SIZE // 2),
+     "30f597dc5fb4ea4bd7b2b5e27c2f05dafade00f13a641dc2ce90751dacf4456c", 0),
+    (bytes(BLOCK_SIZE),
+     "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31", 0),
+    (XYZ_BLOCK,
+     "f22fad10e63da846038439af6a20cc7b75eb3210d4f009cf1d1ddb1ad5274ad6", 21845),
+], ids=["random", "periodic", "zeros", "over_block"])
+def test_full_block_digests_pinned(data, digest, primary):
+    blk = bwt_forward(data)
+    assert hashlib.sha256(blk.data).hexdigest() == digest
+    assert blk.primary_index == primary
 
 
 def test_inverse_index_bound():
@@ -167,7 +202,7 @@ def test_block_overrunning_declared_length_not_decoded(monkeypatch):
 
 
 def test_block_longer_than_block_size_raises():
-    data = b"xyz" * (BLOCK_SIZE // 3) + b"xyz"[:BLOCK_SIZE % 3 + 1]
+    data = XYZ_BLOCK
     assert len(data) == BLOCK_SIZE + 1
     # a well-formed block the encoder never writes: one token stream for it all
     fwd = bwt_forward(data)

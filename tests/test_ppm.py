@@ -69,6 +69,11 @@ def halving_input():
     return bytes(rng.getrandbits(1) for _ in range(70_000))
 
 
+def abracadabra_input():
+    """440 octets of an 11-octet period: orders 4 and 5 code it differently."""
+    return b"abracadabra" * 40
+
+
 def skewed_input():
     rng = random.Random(8)
     return bytes(rng.getrandbits(8) & rng.getrandbits(8) for _ in range(6000))
@@ -133,10 +138,18 @@ def test_roundtrip_skewed_random():
     (skewed_input, 2, "7455fd4442ec298b784a53d4b65fe931d5e1c3387ba5534b335ef056fca01dc7"),
     (skewed_input, 4, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
     (skewed_input, 5, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
+    (abracadabra_input, 5, "76147fffd4b160820b94c2b38542e9f2bde0b47f0714c60577cf4005beb4cae7"),
     (halving_input, 2, "e8c2ef3c7eaf33042aa829e1c7d0431d85112d9b662b3c04993fdb699d1eaed5"),
 ])
 def test_payload_digests_pinned(make_data, order, digest):
     assert hashlib.sha256(ppm_encode(make_data(), order)).hexdigest() == digest
+
+
+def test_order_5_differs_from_order_4():
+    # skewed_input() codes alike at orders 4 and 5, so only this input
+    # shows that the order-5 pin is not an order-4 pin
+    data = abracadabra_input()
+    assert ppm_encode(data, 4) != ppm_encode(data, 5)
 
 
 def test_rescale_path_roundtrips():
