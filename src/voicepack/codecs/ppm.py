@@ -14,6 +14,17 @@ escaped, and every context is coded the same way: from a copy of its
 counts with the excluded entries zeroed.  A context with no symbol left
 after exclusion is passed over like one never seen.
 
+Past 64 symbols the decoder does not accumulate every count: running
+sums above 256 are fresh int objects, and in an order-0 context of
+near-random data that list cost more than the rest of the symbol's
+decoding.  It sums the masked counts 32 at a time until the sum passes
+the decoded slot, then accumulates only that chunk, seeded with the sum
+so far; an all-excluded chunk sums to 0 and is passed over.  Smaller
+contexts keep the one accumulate, which is faster for them.
+End-of-stream is never counted, so a context holding all 256 octets has
+the symbol list range(256): there each excluded symbol is its own index,
+found without bisection.
+
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
 
@@ -34,6 +45,9 @@ from voicepack.errors import CorruptStream
 
 EOS = 256
 _NUM_MINUS1 = 257
+_FULL = 256  # a context holding every octet: its symbol list is range(256)
+_SMALL = 64  # the decoder searches contexts of up to this many symbols whole
+_CHUNK = 32
 _RESCALE_AT = (1 << 16) - 257
 
 
@@ -97,14 +111,20 @@ def _masked_counts(ctx, excl):
     """Counts of `ctx` with the excluded symbols zeroed, and their sum.
 
     `excl` is a subset of `ctx.syms` (see the module docstring), so each
-    excluded symbol is found by bisection.
+    excluded symbol is found by bisection, or is its own index in a full
+    context.
     """
     cnts = ctx.cnts
     if not excl:
         return cnts, ctx.total
-    syms = ctx.syms
     cnts = cnts[:]
     avail = ctx.total
+    if len(cnts) == _FULL:
+        for e in excl:
+            avail -= cnts[e]
+            cnts[e] = 0
+        return cnts, avail
+    syms = ctx.syms
     for e in excl:
         i = bisect_left(syms, e)
         avail -= cnts[i]
@@ -143,9 +163,23 @@ def _decode_symbol(dec, contexts):
             dec.decode_update(avail, esc, total)
             excl = syms
             continue
-        cums = list(accumulate(cnts))
-        idx = bisect_right(cums, v)
-        cum = cums[idx - 1] if idx else 0
+        if esc <= _SMALL:
+            cums = list(accumulate(cnts))
+            idx = bisect_right(cums, v)
+            cum = cums[idx - 1] if idx else 0
+        else:
+            # v < avail, the sum of all chunks, bounds the walk
+            at = 0
+            base = 0
+            top = sum(cnts[:_CHUNK])
+            while top <= v:
+                at += _CHUNK
+                base = top
+                top += sum(cnts[at:at + _CHUNK])
+            cums = list(accumulate(cnts[at:at + _CHUNK], initial=base))
+            j = bisect_right(cums, v)
+            idx = at + j - 1
+            cum = cums[j - 1]
         dec.decode_update(cum, cnts[idx], total)
         return syms[idx]
     total = _NUM_MINUS1 - len(excl)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from voicepack.codecs.lzw import encode_payload as lzw_payload
-from voicepack.codecs.ppm import ContextModel, ppm_decode, ppm_encode
+from voicepack.codecs.ppm import ContextModel, _decode_symbol, ppm_decode, ppm_encode
 from voicepack.errors import CorruptStream
 
 ROLL_MASK = (1 << 64) - 1
@@ -79,6 +79,26 @@ def skewed_input():
     return bytes(rng.getrandbits(8) & rng.getrandbits(8) for _ in range(6000))
 
 
+def random_input():
+    """8000 uniform octets: the order-0 context holds all 256 octets."""
+    return random.Random(9).randbytes(8000)
+
+
+def amr_input():
+    """An AMR-12.2-like clip: a magic line, then 60 frames of a 0x3C
+    header octet and 31 random octets."""
+    rng = random.Random(3)
+    return b"#!AMR\n" + b"".join(b"\x3c" + rng.randbytes(31) for _ in range(60))
+
+
+@pytest.mark.parametrize("make_data", [random_input, amr_input])
+def test_pinned_inputs_fill_a_context(make_data):
+    # the digest pins below cover the full-context branch only if this holds
+    model = ContextModel(3)
+    feed(model, make_data())
+    assert len(model.root.syms) == 256
+
+
 @pytest.mark.parametrize("make_data, order", [(skewed_input, 3), (halving_input, 2)])
 def test_context_symbols_within_suffix_context(make_data, order):
     # the coder's exclusion set is the last escaped context's symbol list,
@@ -140,9 +160,82 @@ def test_roundtrip_skewed_random():
     (skewed_input, 5, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
     (abracadabra_input, 5, "76147fffd4b160820b94c2b38542e9f2bde0b47f0714c60577cf4005beb4cae7"),
     (halving_input, 2, "e8c2ef3c7eaf33042aa829e1c7d0431d85112d9b662b3c04993fdb699d1eaed5"),
+    (random_input, 3, "5a78309d70b5f345e66776ecd2b643b6a6fc83e692d69b170fcbe14246ab052e"),
+    (amr_input, 3, "8c6fcbe6585758ecdec7b730e3be67a99280902e035e7676f2770767bab06c5a"),
 ])
 def test_payload_digests_pinned(make_data, order, digest):
     assert hashlib.sha256(ppm_encode(make_data(), order)).hexdigest() == digest
+
+
+class ScriptedDecoder:
+    """Hands `_decode_symbol` chosen slots and records what it commits."""
+
+    def __init__(self, slots):
+        self.slots = list(slots)
+        self.updates = []
+
+    def decode_freq(self, total):
+        return self.slots.pop(0)
+
+    def decode_update(self, cum, freq, total):
+        self.updates.append((cum, freq, total))
+
+
+def masked_slots(ctx, excl):
+    """Oracle: (symbol, cum, freq) per symbol of `ctx`, excluded counts zeroed."""
+    slots, cum = [], 0
+    for sym, cnt in zip(ctx.syms, ctx.cnts):
+        cnt = 0 if sym in excl else cnt
+        slots.append((sym, cum, cnt))
+        cum += cnt
+    return slots, cum
+
+
+def check_decode_slots(ctx, higher=None):
+    """Decode each interesting slot of `ctx`, after an escape from `higher`,
+    and compare (symbol, cum, freq, total) with the brute-force oracle."""
+    excl = set(higher.syms) if higher else set()
+    slots, avail = masked_slots(ctx, excl)
+    total = avail + len(ctx.syms)
+    boundaries = [cum for _, cum, _ in slots[32::32]]
+    for v in sorted({0, avail - 1, *boundaries, *(b - 1 for b in boundaries if b)}):
+        prefix = [higher.total] if higher else []  # higher's escape slot
+        dec = ScriptedDecoder(prefix + [v])
+        got = _decode_symbol(dec, [ctx, higher] if higher else [ctx])
+        sym, cum, freq = next(s for s in slots if s[1] <= v < s[1] + s[2])
+        assert (got, dec.updates[-1]) == (sym, (cum, freq, total)), v
+
+
+def child(model, context):
+    node = model.root
+    for octet in context:
+        node = node.kids[node.syms.index(octet)]
+    return node
+
+
+@pytest.mark.parametrize("alphabet", [64, 65, 256])
+def test_decode_slots_match_masked_cumulative_counts(alphabet):
+    rng = random.Random(alphabet)
+    data = bytes(rng.randrange(alphabet) for _ in range(4000))
+    model = ContextModel(1)
+    feed(model, data)
+    assert len(model.root.syms) == alphabet
+    check_decode_slots(model.root)
+    for octet in (0, alphabet // 2, alphabet - 1):
+        check_decode_slots(model.root, child(model, [octet]))
+
+
+def test_decode_slots_skip_an_all_excluded_chunk():
+    # after 0xFF come exactly the octets 32..63: escaping from that context
+    # zeroes the whole second chunk of the full order-0 context
+    rng = random.Random(12)
+    data = bytes(rng.randrange(255) for _ in range(3000))
+    data += b"".join(bytes([0xFF, s]) for s in range(32, 64))
+    model = ContextModel(1)
+    feed(model, data)
+    higher = child(model, [0xFF])
+    assert len(model.root.syms) == 256 and higher.syms == list(range(32, 64))
+    check_decode_slots(model.root, higher)
 
 
 def test_order_5_differs_from_order_4():
