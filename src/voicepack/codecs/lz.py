@@ -80,12 +80,9 @@ def lz77_parse(data):
 
 
 def _models():
-    return {
-        "flag": new_bit_probs(2),
-        "lit": new_bit_probs(2 * 256),
-        "len": new_bit_probs(1 << _LEN_TREE_BITS),
-        "slot": new_bit_probs(1 << _SLOT_TREE_BITS),
-    }
+    """Fresh flag, literal, length and slot probabilities, in that order."""
+    return (new_bit_probs(2), new_bit_probs(2 * 256),
+            new_bit_probs(1 << _LEN_TREE_BITS), new_bit_probs(1 << _SLOT_TREE_BITS))
 
 
 def encode_payload(data):
@@ -93,8 +90,7 @@ def encode_payload(data):
         return b""
     tokens = lz77_parse(data)
     enc = RangeEncoder()
-    m = _models()
-    flag, lit, lent, slot = m["flag"], m["lit"], m["len"], m["slot"]
+    flag, lit, lent, slot = _models()
     prev_kind = 0
     for offset, value in tokens:
         if not offset:
@@ -117,8 +113,7 @@ def decode_payload(payload, original_len):
     if original_len == 0:
         return b""
     dec = RangeDecoder(payload)
-    m = _models()
-    flag, lit, lent, slot = m["flag"], m["lit"], m["len"], m["slot"]
+    flag, lit, lent, slot = _models()
     out = bytearray()
     prev_kind = 0
     while len(out) < original_len:

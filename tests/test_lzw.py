@@ -1,16 +1,9 @@
 import random
+import time
 
 import pytest
 
-from voicepack.codecs.lzw import (
-    BitReader,
-    BitWriter,
-    code_widths,
-    decode_payload,
-    encode_payload,
-    lzw_encode,
-    pack_codes,
-)
+from voicepack.codecs.lzw import decode_payload, encode_payload, lzw_encode, pack_codes
 from voicepack.errors import CorruptStream
 
 
@@ -48,6 +41,9 @@ def test_decode_code_beyond_next_free_slot():
 def test_decode_first_code_must_be_literal():
     with pytest.raises(CorruptStream):
         decode_codes([256], 1, 14)
+    # a first code of 256 must raise, not decode to nothing and go on
+    with pytest.raises(CorruptStream):
+        decode_codes([256, 97], 1, 14)
 
 
 def test_high_redundancy_shrinks():
@@ -72,6 +68,26 @@ def test_roundtrip_through_code_lists():
         assert decode_codes(lzw_encode(data, 12), len(data), 12) == data
 
 
+def scheduled_widths(n_codes, max_bits):
+    """The width schedule walked code by code: the dictionary gains one
+    entry per code after the first (until frozen), and the width grows
+    whenever the next free slot would not fit."""
+    widths = []
+    w = 9
+    threshold = 1 << w
+    next_code = 256
+    cap = 1 << max_bits
+    for j in range(n_codes):
+        if j:
+            if next_code >= threshold and w < max_bits:
+                w += 1
+                threshold <<= 1
+        widths.append(w)
+        if j and next_code < cap:
+            next_code += 1
+    return widths
+
+
 def test_width_growth_invariant():
     # repeated-free input drives the dictionary hard: every emitted code
     # must fit its scheduled width and widths never pass the cap
@@ -79,11 +95,16 @@ def test_width_growth_invariant():
     data = bytes(rng.getrandbits(8) for _ in range(9000))
     for max_bits in (9, 11, 14):
         codes = lzw_encode(data, max_bits)
-        widths = code_widths(len(codes), max_bits)
+        widths = scheduled_widths(len(codes), max_bits)
         assert all(c < (1 << w) for c, w in zip(codes, widths))
         assert max(widths) <= max_bits
         assert widths[0] == 9
         assert widths == sorted(widths)
+        assert len(pack_codes(codes, max_bits)) == -(-sum(widths) // 8)
+    # the closed form in the module docstring is the same schedule
+    for max_bits in range(9, 17):
+        assert scheduled_widths(70_000, max_bits) == [
+            min(max_bits, max(9, (255 + j).bit_length())) for j in range(70_000)]
 
 
 def test_dictionary_freeze_keeps_roundtrip():
@@ -101,43 +122,22 @@ def test_truncated_payload_underruns():
         decode_payload(payload[:3], 41, 14)
 
 
+def test_pack_codes_msb_first_zero_padded():
+    # 65 and 66 as two 9-bit codes, then 6 zero bits to fill the octet
+    assert pack_codes([65, 66], 14) == bytes.fromhex("209080")
+
+
+def test_lying_length_raises_promptly():
+    # one long run is the most output per payload octet LZW allows: each
+    # code is one octet longer than the last
+    payload = encode_payload(b"a" * 300_000, 14)
+    assert len(payload) <= 1024
+    start = time.perf_counter()
+    with pytest.raises(CorruptStream):
+        decode_payload(payload, 2**31, 14)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_empty_payload():
     assert encode_payload(b"", 14) == b""
     assert decode_payload(b"", 0, 14) == b""
-
-
-def test_bits_roundtrip_fixed_width():
-    bw = BitWriter()
-    values = [0, 1, 255, 256, 511]
-    for v in values:
-        bw.write(v, 9)
-    br = BitReader(bw.getvalue())
-    assert [br.read(9) for _ in values] == values
-
-
-def test_bits_roundtrip_mixed_widths():
-    rng = random.Random(42)
-    items = [(rng.getrandbits(w), w) for w in rng.choices(range(1, 17), k=500)]
-    bw = BitWriter()
-    for v, w in items:
-        bw.write(v, w)
-    br = BitReader(bw.getvalue())
-    for v, w in items:
-        assert br.read(w) == v
-
-
-def test_bits_final_partial_octet_zero_padded():
-    bw = BitWriter()
-    bw.write(0b101, 3)
-    assert bw.getvalue() == bytes([0b10100000])
-
-
-def test_bits_read_past_end_raises():
-    br = BitReader(b"\xff")
-    br.read(8)
-    with pytest.raises(CorruptStream):
-        br.read(1)
-
-
-def test_bits_empty_writer_yields_empty():
-    assert BitWriter().getvalue() == b""
