@@ -50,8 +50,6 @@ def bwt_forward(block):
     n = len(block)
     if n == 0:
         return BwtBlock(b"", 0)
-    if n == 1:
-        return BwtBlock(bytes(block), 0)
     arr = np.frombuffer(bytes(block), dtype=np.uint8)
     dtype = np.uint16 if n <= 1 << 16 else np.int64
     rank = arr.astype(dtype)
@@ -96,20 +94,6 @@ def bwt_inverse(block):
     return bytes(out)
 
 
-def mtf_encode(data):
-    """Move-to-front over a 256-entry list initialized 0..255."""
-    table = bytearray(range(256))
-    out = bytearray()
-    append = out.append
-    for b in data:
-        i = table.index(b)
-        append(i)
-        if i:
-            del table[i]
-            table.insert(0, b)
-    return bytes(out)
-
-
 def mtf_decode(values):
     table = bytearray(range(256))
     out = bytearray()
@@ -134,26 +118,26 @@ def _emit_run(out, n):
             n = (n - 2) >> 1
 
 
-def rle0_encode(values):
-    """Zero runs to RUNA/RUNB digits; nonzero values shift up by one."""
+def mtf_rle_encode(data):
+    """Move-to-front over 0..255 to zero-run digits and shifted values."""
+    table = bytearray(range(256))
     out = []
+    append = out.append
     run = 0
-    for v in values:
-        if v == 0:
-            run += 1
-        else:
+    for b in data:
+        i = table.index(b)
+        if i:
             if run:
                 _emit_run(out, run)
                 run = 0
-            out.append(v + 1)
+            append(i + 1)
+            del table[i]
+            table.insert(0, b)
+        else:
+            run += 1
     if run:
         _emit_run(out, run)
     return out
-
-
-def mtf_rle_encode(data):
-    """Composed move-to-front and zero-run stage as one token sequence."""
-    return rle0_encode(mtf_encode(data))
 
 
 def encode_payload(data):

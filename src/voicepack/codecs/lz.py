@@ -30,8 +30,6 @@ _SLOT_TREE_BITS = 4
 def lz77_parse(data):
     """Greedy longest-match token sequence reconstructing `data` exactly."""
     n = len(data)
-    if n == 0:
-        return []
     head = {}
     chain = [-1] * n
     tokens = []
@@ -86,8 +84,6 @@ def _models():
 
 
 def encode_payload(data):
-    if not data:
-        return b""
     tokens = lz77_parse(data)
     enc = RangeEncoder()
     flag, lit, lent, slot = _models()
@@ -110,8 +106,6 @@ def encode_payload(data):
 
 
 def decode_payload(payload, original_len):
-    if original_len == 0:
-        return b""
     dec = RangeDecoder(payload)
     flag, lit, lent, slot = _models()
     out = bytearray()

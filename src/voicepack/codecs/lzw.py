@@ -73,8 +73,6 @@ def encode_payload(data, max_code_bits):
 
 def decode_payload(payload, original_len, max_code_bits):
     """Decode a packed stream, stopping at the declared output length."""
-    if original_len == 0:
-        return b""
     table = _SINGLE[:]
     next_code = _FIRST_FREE
     cap = 1 << max_code_bits

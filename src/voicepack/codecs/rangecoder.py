@@ -1,8 +1,9 @@
 """32-bit range coder shared by the arithmetic, PPM and LZ back ends.
 
 The coder keeps a 32-bit `range` register and renormalizes one octet at a
-time; carries are resolved through a cached byte plus a run counter, so
-`low` never needs more than 33 bits.  Three symbol interfaces are exposed:
+time.  The encoder holds its output until finish() and adds a carry
+out of `low` into the octets already written, so `low` never needs more
+than 33 bits.  Three symbol interfaces are exposed:
 
 * frequency coding against an explicit (cumulative, frequency, total)
   triple, for the adaptive byte models;
@@ -24,29 +25,23 @@ PROB_MOVE = 5
 
 
 class RangeEncoder:
-    __slots__ = ("low", "range", "_cache", "_cache_size", "_out")
+    __slots__ = ("low", "range", "_out")
 
     def __init__(self):
         self.low = 0
         self.range = MASK32
-        self._cache = 0
-        self._cache_size = 1
-        self._out = bytearray()
+        self._out = bytearray(1)  # a leading zero octet, which no carry passes
 
     def _shift_low(self):
         low = self.low
-        if low < 0xFF000000 or low > MASK32:
-            carry = low >> 32
-            out = self._out
-            temp = self._cache
-            while True:
-                out.append((temp + carry) & 0xFF)
-                temp = 0xFF
-                self._cache_size -= 1
-                if not self._cache_size:
-                    break
-            self._cache = (low >> 24) & 0xFF
-        self._cache_size += 1
+        out = self._out
+        if low > MASK32:
+            i = len(out) - 1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        out.append((low >> 24) & 0xFF)
         self.low = (low << 8) & MASK32
 
     def encode(self, cum, freq, total):

@@ -14,8 +14,7 @@ from voicepack.codecs.bwt import (
     decode_payload,
     encode_payload,
     mtf_decode,
-    mtf_encode,
-    rle0_encode,
+    mtf_rle_encode,
 )
 from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
@@ -109,17 +108,31 @@ def test_inverse_index_bound():
         bwt_inverse(BwtBlock(b"", 1))
 
 
+def reference_mtf(data):
+    """Move-to-front by the definition: each octet's index in the list of
+    all octets, most recently used first, never-used ones ascending."""
+    order = list(range(256))
+    out = []
+    for b in data:
+        out.append(order.index(b))
+        order.remove(b)
+        order.insert(0, b)
+    return out
+
+
 def test_mtf_hand_traces():
-    assert list(mtf_encode(b"aaa")) == [97, 0, 0]
-    assert list(mtf_encode(b"nnbaaa")) == [110, 0, 99, 99, 0, 0]
-    assert mtf_encode(b"") == b""
+    assert reference_mtf(b"aaa") == [97, 0, 0]
+    assert reference_mtf(b"nnbaaa") == [110, 0, 99, 99, 0, 0]
+    assert mtf_rle_encode(b"aaa") == [98, 1]
+    assert mtf_rle_encode(b"nnbaaa") == [111, 0, 100, 100, 1]
+    assert mtf_rle_encode(b"") == []
 
 
 def test_mtf_identity():
     rng = random.Random(15)
     for _ in range(30):
         data = bytes(rng.getrandbits(8) for _ in range(rng.randrange(0, 500)))
-        assert mtf_decode(mtf_encode(data)) == data
+        assert mtf_decode(reference_mtf(data)) == data
 
 
 def roundtrip(data):
@@ -129,7 +142,7 @@ def roundtrip(data):
 def test_rle0_runs_bijective_base2():
     # run lengths 1..40 survive the digit coding exactly
     for n in range(1, 41):
-        tokens = rle0_encode(bytes(n) + b"\x07")
+        tokens = mtf_rle_encode(bytes(n) + b"\x07")
         assert tokens[-1] == 8
         assert sum((t + 1) << i for i, t in enumerate(tokens[:-1])) == n
         # move-to-front turns n + 1 equal octets into one value and n zeros
@@ -146,8 +159,9 @@ def test_rle0_identity_random():
 
 
 def test_rle0_token_range():
-    # nonzero values shift up by one: 0/1 are reserved for run digits
-    tokens = rle0_encode(b"\x01\xff\x00\x00")
+    # nonzero values shift up by one: 0/1 are reserved for run digits;
+    # move-to-front gives [1, 255, 0, 0]
+    tokens = mtf_rle_encode(b"\x01\xff\xff\xff")
     assert tokens[:2] == [2, 256]
 
 

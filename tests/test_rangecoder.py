@@ -1,12 +1,44 @@
 import random
 
+import pytest
+
 from voicepack.codecs.rangecoder import (
+    MASK32,
+    TOP,
     RangeDecoder,
     RangeEncoder,
     new_bit_probs,
 )
 
 TWO32 = 1 << 32
+
+
+class UnboundedEncoder:
+    """Frequency coding with `low` as an unbounded integer: a carry needs
+    no handling, because the octets written are just low's high part."""
+
+    def __init__(self):
+        self.low = 0
+        self.range = MASK32
+        self.shifts = 0
+        self.carries_over_ff = 0
+
+    def encode(self, cum, freq, total):
+        r = self.range // total
+        written = self.low >> 32
+        self.low += r * cum
+        if self.low >> 32 != written and written & 0xFF == 0xFF:
+            self.carries_over_ff += 1
+        self.range = r * freq if cum + freq < total else self.range - r * cum
+        while self.range < TOP:
+            self.range <<= 8
+            self.low <<= 8
+            self.shifts += 1
+
+    def finish(self):
+        # a zero octet, then one octet per shift (five more to flush)
+        self.low <<= 40
+        return (self.low >> 32).to_bytes(self.shifts + 6, "big").rstrip(b"\0")
 
 
 def test_static_interval_single_symbol():
@@ -119,3 +151,55 @@ def test_skewed_bits_compress_well():
     for _ in range(10_000):
         enc.encode_bit(probs, 0, 0)
     assert len(enc.finish()) < 200
+
+
+def test_carries_match_unbounded_low():
+    carries_over_ff = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        freqs = [rng.randrange(1, 50) for _ in range(rng.randrange(2, 9))]
+        cums = [0]
+        for f in freqs:
+            cums.append(cums[-1] + f)
+        symbols = [rng.randrange(len(freqs)) for _ in range(2000)]
+        enc = RangeEncoder()
+        ref = UnboundedEncoder()
+        for s in symbols:
+            enc.encode(cums[s], freqs[s], cums[-1])
+            ref.encode(cums[s], freqs[s], cums[-1])
+        data = enc.finish()
+        assert data == ref.finish()
+        carries_over_ff += ref.carries_over_ff
+        dec = RangeDecoder(data)
+        for s in symbols:
+            assert cums[s] <= dec.decode_freq(cums[-1]) < cums[s + 1]
+            dec.decode_update(cums[s], freqs[s], cums[-1])
+    # the streams exercise carries that turn written 0xFF octets to 0x00
+    assert carries_over_ff >= 10
+
+
+@pytest.mark.parametrize("nbits", range(1, 10))
+def test_tree_roundtrip_matches_bitwise(nbits):
+    rng = random.Random(nbits)
+    size = 1 << nbits
+    # two trees side by side, as the LZ literal coder keeps them
+    coded = [(rng.randrange(2) * size, min(rng.getrandbits(nbits), rng.getrandbits(nbits)))
+             for _ in range(1500)]
+    enc = RangeEncoder()
+    probs = new_bit_probs(2 * size)
+    for base, value in coded:
+        enc.encode_tree(probs, base, nbits, value)
+    data = enc.finish()
+    # encode_tree is encode_bit per bit at context base + node
+    bitwise = RangeEncoder()
+    probs = new_bit_probs(2 * size)
+    for base, value in coded:
+        node = 1
+        for shift in range(nbits - 1, -1, -1):
+            bit = (value >> shift) & 1
+            bitwise.encode_bit(probs, base + node, bit)
+            node = (node << 1) | bit
+    assert bitwise.finish() == data
+    dec = RangeDecoder(data)
+    probs = new_bit_probs(2 * size)
+    assert [dec.decode_tree(probs, base, nbits) for base, _ in coded] == [v for _, v in coded]
