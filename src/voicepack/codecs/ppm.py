@@ -35,6 +35,17 @@ one per order 0..k (fewer near the start).  Counting a symbol in an
 active context finds its index in the node, and the child at that index
 is the next position's context one order up, so no context is ever
 looked up; nodes at depth k have no children.
+
+Children are created lazily, as in PPMd (D. Shkarin, "PPM: one step to
+practicality", DCC 2002).  A context seen only once has counted at most
+one symbol, the octet that followed it there, and that octet's child is
+again a context seen once, at the next position.  So the model keeps its
+own copy of the input and stores such a child as an int, the position of
+that octet, much as PPM* points into its input (J. Cleary and W. Teahan,
+Computer Journal 40(2/3), 1997).  It becomes a node when its context
+recurs.  A symbol new to a context is new to every longer one, so the
+next active list ends there: on near-random input most contexts never
+become nodes.
 """
 
 from bisect import bisect_left, bisect_right
@@ -54,51 +65,67 @@ _RESCALE_AT = (1 << 16) - 257
 class _Ctx:
     __slots__ = ("syms", "cnts", "total", "kids")
 
-    def __init__(self, leaf):
-        self.syms = []
-        self.cnts = []
-        self.total = 0
-        self.kids = None if leaf else []
+    def __init__(self, syms, cnts, total, kids):
+        self.syms = syms
+        self.cnts = cnts
+        self.total = total
+        self.kids = kids
 
 
 class ContextModel:
     """Symbol counts for every context seen, orders 0..k, as a trie.
 
+    `past` holds the octets counted so far.  A child entry that is an int
+    p stands for a context seen once: `past[p]` is the one symbol counted
+    in it (none yet if p == len(past)) and p + 1 is that symbol's child.
     `contexts` lists the active contexts of the next position, shortest
-    first; a context created but not yet counted in has no symbols.
+    first, all of them nodes.
     """
 
-    __slots__ = ("order", "root", "contexts")
+    __slots__ = ("order", "root", "contexts", "past")
 
     def __init__(self, order):
         if not 0 <= order <= 8:
             raise ValueError("context order must be in 0..8")
         self.order = order
-        self.root = _Ctx(order == 0)
+        self.root = _Ctx([], [], 0, None if order == 0 else [])
         self.contexts = [self.root]
+        self.past = bytearray()
 
     def update(self, hist, depth, sym):
         """Count `sym` in every active context and step to the next position.
 
-        `hist` (the preceding octets) and `depth` (their number) are
-        unused, since the active contexts already encode both; they remain
-        because the benchmark's update replay passes them.
+        A context met again becomes a node, whose one count the int entry
+        held; a symbol new to a context gets the next position as its
+        child.  `hist` (the preceding octets) and `depth` (their number)
+        are unused, since the active contexts already encode both; they
+        remain because the benchmark's update replay passes them.
         """
+        past = self.past
+        past.append(sym)
+        at = len(past)
         order = self.order
         nxt = [self.root]
         for ctx in self.contexts:
             syms = ctx.syms
             kids = ctx.kids
             idx = bisect_left(syms, sym)
-            if idx == len(syms) or syms[idx] != sym:
-                syms.insert(idx, sym)
-                ctx.cnts.insert(idx, 0)
+            if idx < len(syms) and syms[idx] == sym:
+                ctx.cnts[idx] += 1
                 if kids is not None:
-                    # the new child's depth is len(nxt), one more than ctx's
-                    kids.insert(idx, _Ctx(len(nxt) == order))
-            ctx.cnts[idx] += 1
-            if kids is not None:
-                nxt.append(kids[idx])
+                    kid = kids[idx]
+                    if type(kid) is int:
+                        # the new node's depth is len(nxt), one more than ctx's
+                        kid = kids[idx] = _Ctx(
+                            [past[kid]], [1], 1,
+                            None if len(nxt) == order else [kid + 1])
+                    nxt.append(kid)
+            else:
+                # new here, so new in every longer context: none joins nxt
+                syms.insert(idx, sym)
+                ctx.cnts.insert(idx, 1)
+                if kids is not None:
+                    kids.insert(idx, at)
             ctx.total += 1
             if ctx.total >= _RESCALE_AT:
                 cnts = [max(1, c >> 1) for c in ctx.cnts]

@@ -1,38 +1,58 @@
 import hashlib
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from voicepack.codecs.lzw import encode_payload as lzw_payload
-from voicepack.codecs.ppm import ContextModel, _decode_symbol, ppm_decode, ppm_encode
+from voicepack.codecs.ppm import ContextModel, _Ctx, _decode_symbol, ppm_decode, ppm_encode
 from voicepack.errors import CorruptStream
-
-ROLL_MASK = (1 << 64) - 1
 
 
 def feed(model, data):
-    hist = 0
-    for i, sym in enumerate(data):
-        model.update(hist, i, sym)
-        hist = ((hist << 8) | sym) & ROLL_MASK
-    return hist
+    for sym in data:
+        model.update(None, None, sym)
+
+
+def entry(model, kid, depth):
+    """A trie child as a node.  An int child p is a context seen once: its
+    one symbol is model.past[p] (none yet at the end of the input) and
+    that symbol's child is p + 1."""
+    if not isinstance(kid, int):
+        return kid
+    kids = None if depth == model.order else []
+    if kid == len(model.past):
+        return SimpleNamespace(syms=[], cnts=[], total=0, kids=kids)
+    if kids is not None:
+        kids.append(kid + 1)
+    return SimpleNamespace(syms=[model.past[kid]], cnts=[1], total=1, kids=kids)
+
+
+def child(model, context):
+    node = model.root
+    for depth, octet in enumerate(context, 1):
+        node = entry(model, node.kids[node.syms.index(octet)], depth)
+    return node
 
 
 def model_counts(model, context):
     """The model's count map for one context, found by following child links."""
     node = model.root
-    for octet in context:
+    for depth, octet in enumerate(context, 1):
         if node.kids is None or octet not in node.syms:
             return {}
-        node = node.kids[node.syms.index(octet)]
+        node = entry(model, node.kids[node.syms.index(octet)], depth)
     return dict(zip(node.syms, node.cnts))
 
 
-def trie_nodes(node, context=b""):
-    """Every (context, node) pair of the trie under `node`."""
+def trie_nodes(model, node, context=b""):
+    """Every (context, node) pair of the trie under `node`, int children
+    read as nodes."""
     yield context, node
     for octet, kid in zip(node.syms, node.kids or ()):
-        yield from trie_nodes(kid, context + bytes([octet]))
+        yield from trie_nodes(model, entry(model, kid, len(context) + 1),
+                              context + bytes([octet]))
 
 
 def brute_counts(data, context, order):
@@ -108,7 +128,7 @@ def test_context_symbols_within_suffix_context(make_data, order):
     feed(model, data)
     if make_data is halving_input:
         assert sum(model_counts(model, b"").values()) < len(data)
-    for context, node in trie_nodes(model.root):
+    for context, node in trie_nodes(model, model.root):
         if len(context) == order:
             assert node.kids is None
         else:
@@ -116,6 +136,44 @@ def test_context_symbols_within_suffix_context(make_data, order):
         assert model_counts(model, context).keys() == set(node.syms)
         if context:
             assert set(node.syms) <= model_counts(model, context[1:]).keys()
+
+
+@pytest.mark.parametrize("alphabet, longest", [(b"ab", 8), (b"abc", 6)])
+def test_every_short_string_counts_like_brute_force(alphabet, longest):
+    # covers a context that recurs at the very next position and one
+    # first seen at the last symbol, which holds no count yet
+    for order in range(4):
+        contexts = [bytes(c) for n in range(order + 1)
+                    for c in itertools.product(alphabet, repeat=n)]
+        for n in range(longest + 1):
+            for data in itertools.product(alphabet, repeat=n):
+                data = bytes(data)
+                model = ContextModel(order)
+                feed(model, data)
+                for context in contexts:
+                    assert model_counts(model, context) == brute_counts(
+                        data, context, order), (data, order, context)
+                # the active list holds the suffixes that have counts
+                assert len(model.contexts) <= min(order, n) + 1
+                for j in range(min(order, n) + 1):
+                    suffix = data[n - j:]
+                    if j < len(model.contexts):
+                        ctx = model.contexts[j]
+                        assert dict(zip(ctx.syms, ctx.cnts)) == brute_counts(
+                            data, suffix, order)
+                    else:
+                        assert brute_counts(data, suffix, order) == {}
+
+
+def test_random_input_makes_few_nodes():
+    # a context seen once stays an int child: an eager trie holds 19,528
+    # nodes after this input
+    model = ContextModel(3)
+    feed(model, random.Random(1).randbytes(10_000))
+    nodes = [node for _, node in trie_nodes(model, model.root)
+             if isinstance(node, _Ctx)]
+    assert len(nodes) < 2000
+    assert all(isinstance(ctx, _Ctx) for ctx in model.contexts)
 
 
 def test_order_range_validated():
@@ -204,13 +262,6 @@ def check_decode_slots(ctx, higher=None):
         got = _decode_symbol(dec, [ctx, higher] if higher else [ctx])
         sym, cum, freq = next(s for s in slots if s[1] <= v < s[1] + s[2])
         assert (got, dec.updates[-1]) == (sym, (cum, freq, total)), v
-
-
-def child(model, context):
-    node = model.root
-    for octet in context:
-        node = node.kids[node.syms.index(octet)]
-    return node
 
 
 @pytest.mark.parametrize("alphabet", [64, 65, 256])
