@@ -5,11 +5,22 @@ messages spend UDH_LEN octets per part on the concatenation user-data
 header (05 00 03, reference, total, sequence), leaving MULTI_CAPACITY
 octets of body.  The 8-bit part counter caps a message at 255 parts.
 
-The transport is an outbox/inbox directory pair standing in for a modem:
-one file per segment named <ref>_<seq>_of_<total>.sms, containing the
-6-octet header followed by the body verbatim.
+The transport is an outbox/inbox directory pair standing in for a modem.
+A modem driver meets the same contract:
+
+- one file per segment, named <ref>_<seq>_of_<total>.sms with each
+  number zero-padded to three decimal digits (007_001_of_002.sms);
+- the file holds the 6-octet user-data header (UDH) followed by the
+  body verbatim;
+- each file is written to <name>.tmp and then renamed to <name>, so a
+  reader never sees a partial file;
+- receiving a reference reads every inbox name matching
+  <ref:03d>_*_of_*.sms (unpadded seq and total digits are accepted);
+  each header must agree with its name, and a file of more than
+  UDH_LEN + SINGLE_CAPACITY octets is rejected.
 """
 
+import fnmatch
 import math
 import os
 from dataclasses import dataclass
@@ -29,6 +40,9 @@ MULTI_CAPACITY = SINGLE_CAPACITY - UDH_LEN
 MAX_PARTS = 255
 
 _UDH_PREFIX = b"\x05\x00\x03"
+# one octet past the largest valid segment file, so an overlong file
+# still reads as overlong and is rejected
+_READ_LIMIT = UDH_LEN + SINGLE_CAPACITY + 1
 
 
 @dataclass(frozen=True)
@@ -117,42 +131,63 @@ class TransportDir:
         return cls(outbox, inbox)
 
 
+def _read_file(path):
+    """At most _READ_LIMIT octets of one file, in a single read."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, _READ_LIMIT)
+    finally:
+        os.close(fd)
+
+
 def outbox_write(seg, tdir):
     """Write one segment file; idempotent when the content is identical."""
-    path = Path(tdir.outbox) / seg.filename()
+    path = os.path.join(tdir.outbox, seg.filename())
     data = seg.to_bytes()
-    if path.exists() and path.read_bytes() == data:
-        return path
-    tmp = path.with_suffix(".sms.tmp")
-    tmp.write_bytes(data)
+    if os.path.exists(path) and _read_file(path) == data:
+        return Path(path)
+    tmp = path + ".tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        if os.write(fd, data) != len(data):
+            raise OSError(f"{tmp}: short write")
+    finally:
+        os.close(fd)
     os.replace(tmp, path)
-    return path
+    return Path(path)
 
 
-def _parse_segment_file(path, data):
+def _parse_segment_file(name, data):
     if len(data) < UDH_LEN or data[:3] != _UDH_PREFIX:
-        raise MalformedSegmentFile(f"{path.name}: bad user-data header")
+        raise MalformedSegmentFile(f"{name}: bad user-data header")
     ref, total, seq = data[3], data[4], data[5]
-    stem_parts = path.stem.split("_")
+    stem_parts = name[:-len(".sms")].split("_")
     if len(stem_parts) != 4 or stem_parts[2] != "of":
-        raise MalformedSegmentFile(f"{path.name}: unrecognized name")
+        raise MalformedSegmentFile(f"{name}: unrecognized name")
     try:
         name_ref, name_seq, name_total = (
             int(stem_parts[0]), int(stem_parts[1]), int(stem_parts[3]))
     except ValueError:
-        raise MalformedSegmentFile(f"{path.name}: unrecognized name") from None
+        raise MalformedSegmentFile(f"{name}: unrecognized name") from None
     if (name_ref, name_seq, name_total) != (ref, seq, total):
-        raise MalformedSegmentFile(f"{path.name}: name disagrees with header")
+        raise MalformedSegmentFile(f"{name}: name disagrees with header")
     try:
         return SmsSegment(ref, total, seq, data[UDH_LEN:])
     except ValueError as exc:
-        raise MalformedSegmentFile(f"{path.name}: {exc}") from None
+        raise MalformedSegmentFile(f"{name}: {exc}") from None
 
 
 def inbox_collect(tdir, ref):
     """Parse every inbox file carrying `ref`, in sequence order."""
-    segments = []
-    for path in sorted(Path(tdir.inbox).glob(f"{ref:03d}_*_of_*.sms")):
-        segments.append(_parse_segment_file(path, path.read_bytes()))
+    if not 0 <= ref <= 255:
+        raise ValueError("reference must fit one octet")
+    inbox = tdir.inbox
+    try:
+        listing = os.listdir(inbox)
+    except (FileNotFoundError, NotADirectoryError):
+        return []  # no inbox yet holds no segments
+    names = sorted(fnmatch.filter(listing, f"{ref:03d}_*_of_*.sms"))
+    segments = [_parse_segment_file(name, _read_file(os.path.join(inbox, name)))
+                for name in names]
     segments.sort(key=lambda s: s.seq)
     return segments

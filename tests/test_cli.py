@@ -127,6 +127,16 @@ def test_receive_missing_segment_exit_2(tmp_path, capsys):
     assert "MissingSegment" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ref", ["300", "-1"])
+def test_reference_out_of_range_usage_error(tmp_path, capsys, ref):
+    src = tmp_path / "msg.bin"
+    src.write_bytes(b"abc")
+    root = ["--root", str(tmp_path / "t"), "--ref", ref]
+    for args in (["send", "--in", str(src)], ["receive", "--out", str(tmp_path / "out")]):
+        assert run_cli(args + root) == 1
+        assert "reference must fit one octet" in capsys.readouterr().err
+
+
 def test_transport_root_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("VOICEPACK_ROOT", str(tmp_path / "env_root"))
     src = tmp_path / "m.bin"

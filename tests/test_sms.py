@@ -161,6 +161,11 @@ def test_inbox_empty(tmp_path):
     assert inbox_collect(tdir, 5) == []
 
 
+def test_inbox_missing_dir_is_empty(tmp_path):
+    tdir = TransportDir(outbox=tmp_path, inbox=tmp_path / "absent")
+    assert inbox_collect(tdir, 5) == []
+
+
 def test_inbox_roundtrip_with_outbox(tmp_path):
     tdir = TransportDir.under(tmp_path)
     payload = os.urandom(400)
@@ -208,5 +213,63 @@ def test_inbox_overlong_body(tmp_path):
     tdir = TransportDir.under(tmp_path)
     raw = bytes([5, 0, 3, 1, 2, 1]) + bytes(135)
     (tdir.inbox / "001_001_of_002.sms").write_bytes(raw)
+    with pytest.raises(MalformedSegmentFile):
+        inbox_collect(tdir, 1)
+
+
+def test_inbox_malformed_name_names_the_file(tmp_path):
+    tdir = TransportDir.under(tmp_path)
+    (tdir.inbox / "001_x_of_001.sms").write_bytes(SmsSegment(1, 1, 1, b"a").to_bytes())
+    with pytest.raises(MalformedSegmentFile) as info:
+        inbox_collect(tdir, 1)
+    assert str(info.value).startswith("001_x_of_001.sms:")
+
+
+def test_inbox_ignores_tmp_files_and_longer_references(tmp_path):
+    tdir = TransportDir.under(tmp_path)
+    seg = SmsSegment(1, 1, 1, b"kept")
+    (tdir.inbox / seg.filename()).write_bytes(seg.to_bytes())
+    (tdir.inbox / "001_001_of_001.sms.tmp").write_bytes(b"partial")
+    (tdir.inbox / "0010_001_of_001.sms").write_bytes(SmsSegment(10, 1, 1, b"x").to_bytes())
+    (tdir.inbox / "002_001_of_001.sms").write_bytes(SmsSegment(2, 1, 1, b"y").to_bytes())
+    assert inbox_collect(tdir, 1) == [seg]
+
+
+@pytest.mark.parametrize("names", [
+    ("001_2_of_2.sms", "001_001_of_002.sms"),
+    # "001_002..." sorts before "001_1...": only the sort by seq orders these
+    ("001_002_of_002.sms", "001_1_of_2.sms"),
+])
+def test_inbox_padded_and_unpadded_names_in_seq_order(tmp_path, names):
+    tdir = TransportDir.under(tmp_path)
+    parts = segment(bytes(range(200)), 1)
+    for name in names:
+        seq = int(name.split("_")[1])
+        (tdir.inbox / name).write_bytes(parts[seq - 1].to_bytes())
+    assert inbox_collect(tdir, 1) == parts
+
+
+def test_outbox_replaces_different_content(tmp_path):
+    tdir = TransportDir.under(tmp_path)
+    seg = SmsSegment(7, 1, 1, b"new")
+    (tdir.outbox / seg.filename()).write_bytes(b"stale content")
+    path = outbox_write(seg, tdir)
+    assert path.read_bytes() == seg.to_bytes()
+    assert sorted(tdir.outbox.iterdir()) == [path]
+
+
+def test_outbox_renames_tmp_file_onto_name(tmp_path, monkeypatch):
+    renames = []
+    real_replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: (
+        renames.append((str(src), str(dst))), real_replace(src, dst)))
+    path = outbox_write(SmsSegment(7, 2, 1, b"BODY"), TransportDir.under(tmp_path))
+    assert renames == [(f"{path}.tmp", str(path))]
+
+
+def test_inbox_rejects_oversized_file(tmp_path):
+    tdir = TransportDir.under(tmp_path)
+    raw = bytes([5, 0, 3, 1, 1, 1]) + bytes(4096 - UDH_LEN)
+    (tdir.inbox / "001_001_of_001.sms").write_bytes(raw)
     with pytest.raises(MalformedSegmentFile):
         inbox_collect(tdir, 1)
