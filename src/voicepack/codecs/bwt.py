@@ -6,6 +6,10 @@ each round in two stable radix passes over 16-bit ranks (Manber & Myers
 1993), so equal rotations keep their original order; it keeps the index
 of the unrotated string instead of appending a sentinel.
 
+numpy is imported inside bwt_forward and bwt_inverse, not at module
+level, so that importing voicepack and running any other codec does not
+pay its start-up cost.
+
 Zero runs from the move-to-front stage are written in bijective base 2
 over two reserved tokens (RUNA=0, RUNB=1); any other move-to-front value
 v is carried as token v+1, so the token alphabet is 0..256.
@@ -17,8 +21,6 @@ each), then the coded token stream.
 
 import struct
 from dataclasses import dataclass
-
-import numpy as np
 
 from voicepack.codecs.arith import AdaptiveModel
 from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
@@ -50,12 +52,13 @@ def bwt_forward(block):
     n = len(block)
     if n == 0:
         return BwtBlock(b"", 0)
+    import numpy as np
     arr = np.frombuffer(bytes(block), dtype=np.uint8)
     dtype = np.uint16 if n <= 1 << 16 else np.int64
     rank = arr.astype(dtype)
     k = 1
     while k < n:
-        key2 = np.roll(rank, -k)
+        key2 = np.concatenate((rank[k:], rank[:k]))
         order = np.argsort(key2, kind="stable")
         order = order[np.argsort(rank[order], kind="stable")]
         r1 = rank[order]
@@ -84,6 +87,7 @@ def bwt_inverse(block):
         return b""
     if not 0 <= p < n:
         raise CorruptStream(f"primary index {p} out of range for block of {n}")
+    import numpy as np
     arr = np.frombuffer(data, dtype=np.uint8)
     nxt = np.argsort(arr, kind="stable").tolist()
     out = bytearray(n)
