@@ -9,7 +9,6 @@ the algorithms by character count and SMS count.
 from voicepack.codecs import (
     AlgorithmId,
     CompressedBlob,
-    DEFAULT_CONFIG,
     compress,
     decompress,
 )
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmId",
     "CompressedBlob",
-    "DEFAULT_CONFIG",
     "SmsBundle",
     "SmsSegment",
     "TransportDir",

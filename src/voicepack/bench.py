@@ -45,6 +45,8 @@ _SENTENCES = {
 SENTENCE_IDS = tuple(_SENTENCES)
 
 _PALETTE_SIZE = 40
+# successors concentrate on each state's top preferences, but with no
+# single dominant path (exact repeats across words stay rare)
 _BRANCH_CHOICES = 13
 BYTES_PER_FRAME = 32
 NOISE_OCTETS_PER_FRAME = 2
@@ -90,29 +92,20 @@ def sentence_text(sentence_id):
     return " , ".join([base] * reps)
 
 
+def _sample(rng, n, k):
+    """k distinct values of range(n), drawn without replacement."""
+    values = list(range(n))
+    return [values.pop(rng.getrandbits(16) % len(values)) for _ in range(k)]
+
+
 def _palette(seed):
-    rng = random.Random(f"palette:{seed}".encode())
-    values = list(range(256))
-    picked = []
-    for _ in range(_PALETTE_SIZE):
-        picked.append(values.pop(rng.getrandbits(16) % len(values)))
-    return picked
+    return _sample(random.Random(f"palette:{seed}".encode()), 256, _PALETTE_SIZE)
 
 
 def _skewed_pick(rng, m):
     a = rng.getrandbits(8) % m
     b = rng.getrandbits(8) % m
     return a if a < b else b
-
-
-def _skewed_index(rng):
-    return _skewed_pick(rng, _PALETTE_SIZE)
-
-
-def _branch_index(rng):
-    # successors concentrate on each state's top preferences, but with no
-    # single dominant path (exact repeats across words stay rare)
-    return _skewed_pick(rng, _BRANCH_CHOICES)
 
 
 def _transitions(seed):
@@ -123,23 +116,16 @@ def _transitions(seed):
     patterns; only the exact byte sequences differ.
     """
     rng = random.Random(f"transitions:{seed}".encode())
-    prefs = []
-    for _ in range(_PALETTE_SIZE):
-        order = list(range(_PALETTE_SIZE))
-        shuffled = []
-        while order:
-            shuffled.append(order.pop(rng.getrandbits(16) % len(order)))
-        prefs.append(shuffled)
-    return prefs
+    return [_sample(rng, _PALETTE_SIZE, _PALETTE_SIZE) for _ in range(_PALETTE_SIZE)]
 
 
 def _word_frame(word, palette, prefs):
     rng = random.Random(f"frame:{word}".encode())
-    idx = _skewed_index(rng)
+    idx = _skewed_pick(rng, _PALETTE_SIZE)
     out = bytearray()
     for _ in range(BYTES_PER_FRAME):
         out.append(palette[idx])
-        idx = prefs[idx][_branch_index(rng)]
+        idx = prefs[idx][_skewed_pick(rng, _BRANCH_CHOICES)]
     return bytes(out)
 
 
@@ -147,6 +133,7 @@ def generate_corpus(spec=CorpusSpec()):
     """All 90 corpus items: 9 sentences x 10 trials, deterministic per CorpusSpec."""
     palette = _palette(spec.seed)
     prefs = _transitions(spec.seed)
+    back = {octet: i for i, octet in enumerate(palette)}
     frames = {}
     items = []
     for sid in SENTENCE_IDS:
@@ -159,7 +146,6 @@ def generate_corpus(spec=CorpusSpec()):
         for trial in range(1, TRIALS + 1):
             rng = random.Random(f"{spec.seed}/{sid}/{trial}".encode())
             payload = bytearray()
-            back = {palette[i]: i for i in range(_PALETTE_SIZE)}
             for tok in tokens:
                 frame = frames[tok]
                 for _ in range(spec.frames_per_word):
@@ -167,8 +153,8 @@ def generate_corpus(spec=CorpusSpec()):
                     for _ in range(NOISE_OCTETS_PER_FRAME):
                         pos = rng.getrandbits(16) % len(piece)
                         # perturb along the chain, like a re-spoken frame
-                        prev = back[piece[pos - 1]] if pos else _skewed_index(rng)
-                        piece[pos] = palette[prefs[prev][_branch_index(rng)]]
+                        prev = back[piece[pos - 1]] if pos else _skewed_pick(rng, _PALETTE_SIZE)
+                        piece[pos] = palette[prefs[prev][_skewed_pick(rng, _BRANCH_CHOICES)]]
                     payload += piece
             items.append(CorpusItem(
                 sentence_id=sid,
@@ -240,9 +226,7 @@ def load_corpus_manifest(manifest_path):
         for row in csv.DictReader(fh):
             sid = row["sentence_id"]
             trial = int(row["trial"])
-            path = Path(row["path"])
-            if not path.is_absolute():
-                path = base / path
+            path = base / row["path"]
             data = path.read_bytes()
             meta = _SENTENCES.get(sid)
             items.append(CorpusItem(

@@ -126,12 +126,9 @@ def decode_payload(payload, original_len):
                 raise CorruptStream("LZ match reaches before stream start")
             if len(out) + length > original_len:
                 raise CorruptStream("LZ match overruns declared length")
-            remaining = length
-            while remaining > 0:
-                take = min(remaining, len(out) - src)
-                out += out[src:src + take]
-                src += take
-                remaining -= take
+            # an overlapping match (offset < length) repeats its last offset octets
+            piece = out[src:src + length]
+            out += (piece * -(-length // len(piece)))[:length]
             prev_kind = 1
         else:
             out.append(dec.decode_tree(lit, prev_kind * 256, 8))

@@ -85,8 +85,8 @@ class ContextModel:
     __slots__ = ("order", "root", "contexts", "past")
 
     def __init__(self, order):
-        if not 0 <= order <= 8:
-            raise ValueError("context order must be in 0..8")
+        if order < 0:
+            raise ValueError("context order must be nonnegative")
         self.order = order
         self.root = _Ctx([], [], 0, None if order == 0 else [])
         self.contexts = [self.root]

@@ -118,14 +118,13 @@ class RangeEncoder:
 
 
 class RangeDecoder:
-    __slots__ = ("range", "code", "_data", "_pos", "_r")
+    __slots__ = ("range", "code", "_data", "_pos")
 
     def __init__(self, data):
         self.range = MASK32
         self.code = 0
         self._data = data
         self._pos = 0
-        self._r = 0
         for _ in range(5):
             self.code = ((self.code << 8) | self._byte()) & MASK32
 
@@ -138,13 +137,12 @@ class RangeDecoder:
 
     def decode_freq(self, total):
         """Return the cumulative-frequency slot the stream points at."""
-        self._r = r = self.range // total
-        v = self.code // r
+        v = self.code // (self.range // total)
         return total - 1 if v >= total else v
 
     def decode_update(self, cum, freq, total):
-        """Commit the symbol chosen from decode_freq's slot."""
-        r = self._r
+        """Commit the symbol at [cum, cum+freq) out of `total`, as encode does."""
+        r = self.range // total
         self.code -= r * cum
         if cum + freq < total:
             self.range = r * freq

@@ -44,15 +44,14 @@ def encode_message(voice, alg, ref=0):
     """Compress a payload and split the serialized blob into segments."""
     if isinstance(voice, (bytes, bytearray)):
         voice = VoicePayload(bytes(voice))
-    alg = AlgorithmId(alg)
     blob = compress(voice.data, alg)
     parts = sms.segment(blob.to_bytes(), ref)
-    return SmsBundle(ref, tuple(parts), alg)
+    return SmsBundle(ref, tuple(parts), blob.algorithm)
 
 
 def decode_message(bundle):
     """Reassemble, parse and decompress a bundle back to the payload."""
-    raw = sms.reassemble(list(bundle.segments))
+    raw = sms.reassemble(bundle.segments)
     blob = CompressedBlob.parse(raw)
     data = decompress(blob)
     return VoicePayload(data, f"sms ref {bundle.reference}")

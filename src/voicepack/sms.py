@@ -141,7 +141,9 @@ def _read_file(path):
 
 
 def outbox_write(seg, tdir):
-    """Write one segment file; idempotent when the content is identical."""
+    """Write one segment file through `<name>.tmp` and a rename; a file
+    already holding exactly this segment is left as it is, so a retried
+    `send` never re-creates a file that a modem driver has already queued."""
     path = os.path.join(tdir.outbox, seg.filename())
     data = seg.to_bytes()
     if os.path.exists(path) and _read_file(path) == data:

@@ -12,8 +12,13 @@ from voicepack.errors import CorruptStream
 
 
 def test_parse_overlapping_match():
-    tokens = lz77_parse(b"abcabcabc")
-    assert tokens == [(0, 97), (0, 98), (0, 99), (3, 6)]
+    # the decoder copies each match by repeating its last `offset` octets
+    for data, tokens in (
+        (b"abcabcabc", [(0, 97), (0, 98), (0, 99), (3, 6)]),
+        (b"abc" * 92, [(0, 97), (0, 98), (0, 99), (3, 273)]),
+    ):
+        assert lz77_parse(data) == tokens
+        assert decode_payload(encode_payload(data), len(data)) == data
 
 
 def test_parse_below_min_match():

@@ -58,23 +58,40 @@ def test_static_interval_two_symbols():
     assert abs((enc.low + enc.range) / TWO32 - 0.75) < 1e-6
 
 
-def test_freq_roundtrip_static_model():
-    rng = random.Random(7)
-    freqs = [5, 1, 9, 2, 3]
-    cums = [0]
-    for f in freqs:
-        cums.append(cums[-1] + f)
-    total = cums[-1]
-    symbols = [rng.randrange(5) for _ in range(5000)]
+# a static five-symbol model
+FREQS = [5, 1, 9, 2, 3]
+CUMS = [0, 5, 6, 15, 17, 20]
+TOTAL = CUMS[-1]
+
+
+def _static_stream(seed, n):
+    """n random symbols of the static model and their coded stream."""
+    rng = random.Random(seed)
+    symbols = [rng.randrange(5) for _ in range(n)]
     enc = RangeEncoder()
     for s in symbols:
-        enc.encode(cums[s], freqs[s], total)
-    data = enc.finish()
+        enc.encode(CUMS[s], FREQS[s], TOTAL)
+    return symbols, enc.finish()
+
+
+def test_freq_roundtrip_static_model():
+    symbols, data = _static_stream(7, 5000)
     dec = RangeDecoder(data)
     for s in symbols:
-        v = dec.decode_freq(total)
-        assert cums[s] <= v < cums[s + 1]
-        dec.decode_update(cums[s], freqs[s], total)
+        v = dec.decode_freq(TOTAL)
+        assert CUMS[s] <= v < CUMS[s + 1]
+        dec.decode_update(CUMS[s], FREQS[s], TOTAL)
+
+
+def test_decode_update_alone_commits_a_known_symbol():
+    # decode_update needs only its arguments: a decoder that already knows
+    # the symbol commits it without asking decode_freq for the slot
+    symbols, data = _static_stream(11, 2000)
+    dec = RangeDecoder(data)
+    for i, s in enumerate(symbols):
+        if i % 2:
+            assert CUMS[s] <= dec.decode_freq(TOTAL) < CUMS[s + 1]
+        dec.decode_update(CUMS[s], FREQS[s], TOTAL)
 
 
 def test_bit_roundtrip_with_adaptive_probs():
