@@ -299,10 +299,7 @@ def emit_report(records, out_dir):
             ])
     written.append(summary)
 
-    algorithms = []
-    for r in records:
-        if r.algorithm not in algorithms:
-            algorithms.append(r.algorithm)
+    algorithms = list(dict.fromkeys(r.algorithm for r in records))
     by_key = {(r.sentence_id, r.trial, r.algorithm): r for r in records}
     for family in _FAMILIES:
         for metric, prefix in (("compressed_chars", "chars"), ("sms_count", "sms")):

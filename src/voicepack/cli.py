@@ -44,18 +44,21 @@ def _root(args):
 def build_parser():
     parser = _Parser(prog="voicepack",
                      description="Compress voice payloads and carry them over SMS segments.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    sub = parser.add_subparsers(required=True, metavar="COMMAND")
 
     p = sub.add_parser("compress", help="compress a file into a container")
+    p.set_defaults(run=_cmd_compress)
     _add_alg_flag(p)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
 
     p = sub.add_parser("decompress", help="restore a file from a container")
+    p.set_defaults(run=_cmd_decompress)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
 
     p = sub.add_parser("send", help="compress a payload file and write SMS segments")
+    p.set_defaults(run=_cmd_send)
     _add_alg_flag(p)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH")
     p.add_argument("--root", metavar="DIR", help=f"transport root (default ${ENV_ROOT})")
@@ -63,11 +66,13 @@ def build_parser():
                    help="message reference octet (default 1)")
 
     p = sub.add_parser("receive", help="reassemble inbox segments and restore the payload")
+    p.set_defaults(run=_cmd_receive)
     p.add_argument("--out", dest="out_path", required=True, metavar="PATH")
     p.add_argument("--root", metavar="DIR", help=f"transport root (default ${ENV_ROOT})")
     p.add_argument("--ref", type=int, default=1, metavar="N")
 
     p = sub.add_parser("bench", help="run every algorithm over the corpus and write reports")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--seed", type=int, default=42, metavar="N")
     p.add_argument("--out", dest="out_path", required=True, metavar="DIR")
     p.add_argument("--manifest", metavar="PATH",
@@ -75,6 +80,7 @@ def build_parser():
                         "of the synthetic corpus")
 
     p = sub.add_parser("corpus", help="write the synthetic corpus payloads and manifest")
+    p.set_defaults(run=_cmd_corpus)
     p.add_argument("--seed", type=int, default=42, metavar="N")
     p.add_argument("--out", dest="out_path", required=True, metavar="DIR")
     return parser
@@ -129,16 +135,6 @@ def _cmd_corpus(args):
     return 0
 
 
-_COMMANDS = {
-    "compress": _cmd_compress,
-    "decompress": _cmd_decompress,
-    "send": _cmd_send,
-    "receive": _cmd_receive,
-    "bench": _cmd_bench,
-    "corpus": _cmd_corpus,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -146,7 +142,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"voicepack: {exc}", file=sys.stderr)
         return 1

@@ -96,18 +96,16 @@ def ac_encode(data):
 
 
 def ac_decode(payload, original_len):
-    """Inverse of ac_encode; the declared length bounds the output."""
+    """Inverse of ac_encode; stops at the declared length, then requires EOS."""
     dec = RangeDecoder(payload)
     model = AdaptiveModel(257)
     decode = model.decode
     out = bytearray()
-    while True:
+    for _ in range(original_len):
         s = decode(dec)
         if s == EOS:
-            break
+            raise CorruptStream("arithmetic stream ended short of declared length")
         out.append(s)
-        if len(out) > original_len:
-            raise CorruptStream("arithmetic stream overruns declared length")
-    if len(out) != original_len:
-        raise CorruptStream("arithmetic stream ended short of declared length")
+    if decode(dec) != EOS:
+        raise CorruptStream("arithmetic stream overruns declared length")
     return bytes(out)

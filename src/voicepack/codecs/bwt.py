@@ -112,14 +112,11 @@ def mtf_decode(values):
 
 
 def _emit_run(out, n):
-    # bijective base 2, least significant digit first: RUNA=1, RUNB=2
+    # bijective base 2, least significant digit first: token t is digit t + 1
     while n > 0:
-        if n & 1:
-            out.append(RUNA)
-            n = (n - 1) >> 1
-        else:
-            out.append(RUNB)
-            n = (n - 2) >> 1
+        t = RUNA if n & 1 else RUNB
+        out.append(t)
+        n = (n - t - 1) >> 1
 
 
 def mtf_rle_encode(data):
@@ -187,11 +184,8 @@ def decode_payload(payload, original_len):
         weight = 1
         while len(vals) + run < block_len:
             t = decode(dec)
-            if t == RUNA:
-                run += weight
-                weight <<= 1
-            elif t == RUNB:
-                run += 2 * weight
+            if t <= RUNB:
+                run += (t + 1) * weight
                 weight <<= 1
             else:
                 if run:

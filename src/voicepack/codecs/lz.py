@@ -114,14 +114,8 @@ def decode_payload(payload, original_len):
         if dec.decode_bit(flag, prev_kind):
             length = dec.decode_tree(lent, 0, _LEN_TREE_BITS) + MIN_MATCH
             s = dec.decode_tree(slot, 0, _SLOT_TREE_BITS)
-            if s == 0:
-                d = 0
-            elif s == 1:
-                d = 1
-            else:
-                d = (1 << (s - 1)) + dec.decode_direct(s - 1)
-            offset = d + 1
-            src = len(out) - offset
+            d = s if s < 2 else (1 << (s - 1)) + dec.decode_direct(s - 1)
+            src = len(out) - d - 1
             if src < 0:
                 raise CorruptStream("LZ match reaches before stream start")
             if len(out) + length > original_len:

@@ -231,19 +231,17 @@ def ppm_encode(data, order):
 
 
 def ppm_decode(payload, original_len, order):
-    """Inverse of ppm_encode; the declared length bounds the output."""
+    """Inverse of ppm_encode; stops at the declared length, then requires EOS."""
     model = ContextModel(order)
     dec = RangeDecoder(payload)
     update = model.update
     out = bytearray()
-    while True:
+    for _ in range(original_len):
         sym = _decode_symbol(dec, model.contexts)
         if sym == EOS:
-            break
+            raise CorruptStream("PPM stream ended short of declared length")
         out.append(sym)
-        if len(out) > original_len:
-            raise CorruptStream("PPM stream overruns declared length")
         update(None, None, sym)
-    if len(out) != original_len:
-        raise CorruptStream("PPM stream ended short of declared length")
+    if _decode_symbol(dec, model.contexts) != EOS:
+        raise CorruptStream("PPM stream overruns declared length")
     return bytes(out)

@@ -109,12 +109,8 @@ class RangeEncoder:
         """Flush the register; returns the complete byte stream."""
         for _ in range(5):
             self._shift_low()
-        out = self._out
         # Trailing zero octets decode identically (missing bytes read as 0).
-        end = len(out)
-        while end > 0 and out[end - 1] == 0:
-            end -= 1
-        return bytes(out[:end])
+        return bytes(self._out.rstrip(b"\0"))
 
 
 class RangeDecoder:

@@ -83,12 +83,9 @@ def segment(payload, ref):
     count = sms_count(len(payload))
     if count > MAX_PARTS:
         raise TooManySegments(f"payload needs {count} parts, limit is {MAX_PARTS}")
-    if count == 1:
-        return [SmsSegment(ref, 1, 1, payload)]
-    return [
-        SmsSegment(ref, count, i + 1, payload[i * MULTI_CAPACITY:(i + 1) * MULTI_CAPACITY])
-        for i in range(count)
-    ]
+    cap = SINGLE_CAPACITY if count == 1 else MULTI_CAPACITY
+    return [SmsSegment(ref, count, i + 1, payload[i * cap:(i + 1) * cap])
+            for i in range(count)]
 
 
 def reassemble(segments):

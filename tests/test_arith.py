@@ -41,11 +41,15 @@ def test_rescaling_inputs_roundtrip():
 
 
 def test_wrong_length_rejected():
-    payload = ac_encode(b"abcdef")
-    with pytest.raises(CorruptStream):
-        ac_decode(payload, 5)
-    with pytest.raises(CorruptStream):
-        ac_decode(payload, 7)
+    # the decoder stops at the declared length, then requires EOS
+    for data, declared, message in (
+        (b"abcdef", 5, "overruns declared length"),
+        (b"abcdef", 7, "ended short of declared length"),
+        (b"", 1, "ended short of declared length"),
+        (b"x", 0, "overruns declared length"),
+    ):
+        with pytest.raises(CorruptStream, match=message):
+            ac_decode(ac_encode(data), declared)
 
 
 class _CoderStub:

@@ -87,6 +87,23 @@ def test_ppm_beats_others_on_s3(seed42_records):
     assert best == AlgorithmId.PPM
 
 
+def test_seed42_totals_per_algorithm(seed42_records):
+    # the paper's table: SMS and compressed characters summed over all 90 clips
+    totals = {}
+    for r in seed42_records:
+        sms, chars = totals.get(r.algorithm.label, (0, 0))
+        totals[r.algorithm.label] = (sms + r.sms_count, chars + r.compressed_chars)
+    assert totals == {
+        "none": (3270, 432810),
+        "lzw": (1310, 168113),
+        "lzma": (715, 89947),
+        "huffman": (2260, 296011),
+        "ppm": (685, 86672),
+        "ac": (2120, 279597),
+        "bwt": (788, 98898),
+    }
+
+
 def test_emit_report_files(tmp_path, seed42_records):
     written = bench.emit_report(seed42_records, tmp_path)
     names = {p.name for p in written}

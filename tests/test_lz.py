@@ -12,8 +12,11 @@ from voicepack.errors import CorruptStream
 
 
 def test_parse_overlapping_match():
-    # the decoder copies each match by repeating its last `offset` octets
+    # the decoder copies each match by repeating its last `offset` octets;
+    # offsets 1 and 2 are the slots that carry their distance alone
     for data, tokens in (
+        (b"a" * 10, [(0, 97), (1, 9)]),
+        (b"ab" * 5, [(0, 97), (0, 98), (2, 8)]),
         (b"abcabcabc", [(0, 97), (0, 98), (0, 99), (3, 6)]),
         (b"abc" * 92, [(0, 97), (0, 98), (0, 99), (3, 273)]),
     ):

@@ -308,9 +308,16 @@ def test_beats_lzw_on_long_runs():
 
 
 def test_wrong_length_rejected():
-    payload = ppm_encode(b"hello ppm", 3)
-    with pytest.raises(CorruptStream):
-        ppm_decode(payload, 4, 3)
+    # the decoder stops at the declared length, then requires EOS
+    for data, declared, message in (
+        (b"hello ppm", 4, "overruns declared length"),
+        (b"hello ppm", 8, "overruns declared length"),
+        (b"hello ppm", 10, "ended short of declared length"),
+        (b"", 1, "ended short of declared length"),
+        (b"x", 0, "overruns declared length"),
+    ):
+        with pytest.raises(CorruptStream, match=message):
+            ppm_decode(ppm_encode(data, 3), declared, 3)
 
 
 def test_order_mismatch_often_detected_or_wrong():
