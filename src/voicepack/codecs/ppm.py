@@ -10,20 +10,24 @@ Every symbol is counted under all of its contexts, orders 0..k, and
 halving never drops one, so the symbols of a context are a subset of
 those of each shorter context ending in it.  The excluded symbols are
 therefore exactly the sorted symbol list of the last context that
-escaped, and every context is coded the same way: from a copy of its
-counts with the excluded entries zeroed.  A context with no symbol left
-after exclusion is passed over like one never seen.
+escaped, and every context is coded as if the excluded counts were zero.
+A context with no symbol left after exclusion is passed over like one
+never seen.  End-of-stream is never counted, so a context holding all
+256 octets has the symbol list range(256): there each excluded symbol is
+its own index, found without bisection; elsewhere bisection finds it.
 
-Past 64 symbols the decoder does not accumulate every count: running
-sums above 256 are fresh int objects, and in an order-0 context of
-near-random data that list cost more than the rest of the symbol's
-decoding.  It sums the masked counts 32 at a time until the sum passes
-the decoded slot, then accumulates only that chunk, seeded with the sum
-so far; an all-excluded chunk sums to 0 and is passed over.  Smaller
-contexts keep the one accumulate, which is faster for them.
-End-of-stream is never counted, so a context holding all 256 octets has
-the symbol list range(256): there each excluded symbol is its own index,
-found without bisection.
+The encoder copies no counts: it subtracts each excluded count from the
+context's total, and from the symbol's cumulative count when the
+excluded symbol sorts below it.  The decoder codes a context with
+nothing excluded from its own counts, and otherwise from a copy with the
+excluded entries zeroed.  In a context of up to 64 symbols it finds the
+decoded slot with one running-sum scan.  Past 64 it does not
+accumulate every count: running sums above 256 are fresh int objects,
+and in an order-0 context of near-random data that list cost more than
+the rest of the symbol's decoding.  It sums the counts 32 at a time
+until the sum passes the decoded slot, then accumulates only that
+chunk, seeded with the sum so far; an all-excluded chunk sums to 0 and
+is passed over.
 
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
@@ -57,7 +61,7 @@ from voicepack.errors import CorruptStream
 EOS = 256
 _NUM_MINUS1 = 257
 _FULL = 256  # a context holding every octet: its symbol list is range(256)
-_SMALL = 64  # the decoder searches contexts of up to this many symbols whole
+_SMALL = 64  # the decoder scans contexts of up to this many symbols whole
 _CHUNK = 32
 _RESCALE_AT = (1 << 16) - 257
 
@@ -137,14 +141,12 @@ class ContextModel:
 def _masked_counts(ctx, excl):
     """Counts of `ctx` with the excluded symbols zeroed, and their sum.
 
-    `excl` is a subset of `ctx.syms` (see the module docstring), so each
+    Only the decoder calls this, and only with a non-empty `excl`.  That
+    is a subset of `ctx.syms` (see the module docstring), so each
     excluded symbol is found by bisection, or is its own index in a full
     context.
     """
-    cnts = ctx.cnts
-    if not excl:
-        return cnts, ctx.total
-    cnts = cnts[:]
+    cnts = ctx.cnts[:]
     avail = ctx.total
     if len(cnts) == _FULL:
         for e in excl:
@@ -166,10 +168,19 @@ def _encode_symbol(enc, contexts, sym):
         esc = len(syms)
         if esc == len(excl):  # excl is a subset of syms: nothing is left
             continue
-        cnts, avail = _masked_counts(ctx, excl)
+        cnts = ctx.cnts
+        avail = ctx.total
+        below = 0
+        if excl:
+            full = esc == _FULL
+            for e in excl:
+                c = cnts[e] if full else cnts[bisect_left(syms, e)]
+                avail -= c
+                if e < sym:
+                    below += c
         idx = bisect_left(syms, sym)
         if idx < esc and syms[idx] == sym:
-            enc.encode(sum(cnts[:idx]), cnts[idx], avail + esc)
+            enc.encode(sum(cnts[:idx]) - below, cnts[idx], avail + esc)
             return
         enc.encode(avail, esc, avail + esc)
         excl = syms
@@ -183,7 +194,10 @@ def _decode_symbol(dec, contexts):
         esc = len(syms)
         if esc == len(excl):  # excl is a subset of syms: nothing is left
             continue
-        cnts, avail = _masked_counts(ctx, excl)
+        if excl:
+            cnts, avail = _masked_counts(ctx, excl)
+        else:
+            cnts, avail = ctx.cnts, ctx.total
         total = avail + esc
         v = dec.decode_freq(total)
         if v >= avail:
@@ -191,9 +205,13 @@ def _decode_symbol(dec, contexts):
             excl = syms
             continue
         if esc <= _SMALL:
-            cums = list(accumulate(cnts))
-            idx = bisect_right(cums, v)
-            cum = cums[idx - 1] if idx else 0
+            # v < avail, the sum of all counts, ends the scan
+            cum = idx = 0
+            for c in cnts:
+                if v < cum + c:
+                    break
+                cum += c
+                idx += 1
         else:
             # v < avail, the sum of all chunks, bounds the walk
             at = 0

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from voicepack.codecs.lzw import encode_payload as lzw_payload
-from voicepack.codecs.ppm import ContextModel, _Ctx, _decode_symbol, ppm_decode, ppm_encode
+from voicepack.codecs.ppm import (
+    EOS, ContextModel, _Ctx, _decode_symbol, _encode_symbol, ppm_decode, ppm_encode)
 from voicepack.errors import CorruptStream
 
 
@@ -250,29 +251,96 @@ def masked_slots(ctx, excl):
 
 def check_decode_slots(ctx, higher=None):
     """Decode each interesting slot of `ctx`, after an escape from `higher`,
-    and compare (symbol, cum, freq, total) with the brute-force oracle."""
+    and compare (symbol, cum, freq, total) with the brute-force oracle.
+
+    The slots are the first and last of each symbol, so every 32-symbol
+    chunk boundary too, and the escape slot, which the order -1 step
+    follows."""
     excl = set(higher.syms) if higher else set()
     slots, avail = masked_slots(ctx, excl)
-    total = avail + len(ctx.syms)
-    boundaries = [cum for _, cum, _ in slots[32::32]]
-    for v in sorted({0, avail - 1, *boundaries, *(b - 1 for b in boundaries if b)}):
-        prefix = [higher.total] if higher else []  # higher's escape slot
+    esc = len(ctx.syms)
+    total = avail + esc
+    edges = {cum for _, cum, _ in slots} | {avail}
+    prefix = [higher.total] if higher else []  # higher's escape slot
+    for v in sorted((edges | {b - 1 for b in edges if b}) - {avail}):
         dec = ScriptedDecoder(prefix + [v])
         got = _decode_symbol(dec, [ctx, higher] if higher else [ctx])
         sym, cum, freq = next(s for s in slots if s[1] <= v < s[1] + s[2])
         assert (got, dec.updates[-1]) == (sym, (cum, freq, total)), v
+    # slot 0 of order -1 is the least symbol no context holds
+    dec = ScriptedDecoder(prefix + [avail, 0])
+    got = _decode_symbol(dec, [ctx, higher] if higher else [ctx])
+    assert dec.updates[len(prefix)] == (avail, esc, total)
+    assert got == min(set(range(EOS + 1)) - set(ctx.syms))
+
+
+@pytest.mark.parametrize("alphabet", [1, 2, 8])
+def test_decode_slots_of_small_contexts(alphabet):
+    # an order-0 model: the root is the only context, nothing is excluded
+    rng = random.Random(alphabet)
+    model = ContextModel(0)
+    feed(model, bytes(rng.randrange(alphabet) for _ in range(500)))
+    assert len(model.root.syms) == alphabet
+    check_decode_slots(model.root)
+
+
+def order1_model(alphabet):
+    """An order-1 model of 4000 random octets below `alphabet`."""
+    rng = random.Random(alphabet)
+    model = ContextModel(1)
+    feed(model, bytes(rng.randrange(alphabet) for _ in range(4000)))
+    assert len(model.root.syms) == alphabet
+    return model
 
 
 @pytest.mark.parametrize("alphabet", [64, 65, 256])
 def test_decode_slots_match_masked_cumulative_counts(alphabet):
-    rng = random.Random(alphabet)
-    data = bytes(rng.randrange(alphabet) for _ in range(4000))
-    model = ContextModel(1)
-    feed(model, data)
-    assert len(model.root.syms) == alphabet
+    model = order1_model(alphabet)
     check_decode_slots(model.root)
     for octet in (0, alphabet // 2, alphabet - 1):
         check_decode_slots(model.root, child(model, [octet]))
+
+
+class ScriptedEncoder:
+    """Records the (cum, freq, total) triples `_encode_symbol` codes."""
+
+    def __init__(self):
+        self.triples = []
+
+    def encode(self, cum, freq, total):
+        self.triples.append((cum, freq, total))
+
+
+@pytest.mark.parametrize("alphabet", [64, 65, 256])
+def test_encode_slots_match_masked_cumulative_counts(alphabet):
+    # every octet and EOS, coded in the order-0 context after an escape
+    # from an order-1 one: hits below, between and above the excluded
+    # symbols, escapes to order -1, and hits in the higher context
+    model = order1_model(alphabet)
+    ctx = model.root
+    for octet in (0, alphabet // 2, alphabet - 1):
+        higher = child(model, [octet])
+        excl = set(higher.syms)
+        assert 0 < len(excl) < alphabet
+        top, _ = masked_slots(higher, set())
+        slots, avail = masked_slots(ctx, excl)
+        esc = len(ctx.syms)
+        for sym in range(EOS + 1):
+            enc = ScriptedEncoder()
+            _encode_symbol(enc, [ctx, higher], sym)
+            if sym in excl:
+                _, cum, freq = next(s for s in top if s[0] == sym)
+                assert enc.triples == [(cum, freq, higher.total + len(excl))]
+                continue
+            want = [(higher.total, len(excl), higher.total + len(excl))]
+            hit = [s for s in slots if s[0] == sym]
+            if hit:
+                _, cum, freq = hit[0]
+                want.append((cum, freq, avail + esc))
+            else:
+                below = sum(1 for s in ctx.syms if s < sym)
+                want += [(avail, esc, avail + esc), (sym - below, 1, EOS + 1 - esc)]
+            assert enc.triples == want, sym
 
 
 def test_decode_slots_skip_an_all_excluded_chunk():
