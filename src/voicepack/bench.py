@@ -218,15 +218,23 @@ def write_corpus_files(corpus, out_dir):
 
 
 def load_corpus_manifest(manifest_path):
-    """Read payloads named by a manifest.csv (paths relative to it)."""
+    """Read payloads named by a manifest.csv (paths relative to it).
+
+    Raises ValueError, naming the manifest and line, for a row that lacks
+    a sentence_id, trial or path.
+    """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     items = []
     with manifest_path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            sid = row["sentence_id"]
-            trial = int(row["trial"])
-            path = base / row["path"]
+        reader = csv.DictReader(fh)
+        for row in reader:
+            sid, trial, name = (row.get(k) for k in ("sentence_id", "trial", "path"))
+            if not (sid and trial and name):
+                raise ValueError(f"{manifest_path}, line {reader.line_num}: "
+                                 "needs a sentence_id, trial and path")
+            trial = int(trial)
+            path = base / name
             data = path.read_bytes()
             meta = _SENTENCES.get(sid)
             items.append(CorpusItem(

@@ -20,14 +20,13 @@ The encoder copies no counts: it subtracts each excluded count from the
 context's total, and from the symbol's cumulative count when the
 excluded symbol sorts below it.  The decoder codes a context with
 nothing excluded from its own counts, and otherwise from a copy with the
-excluded entries zeroed.  In a context of up to 64 symbols it finds the
-decoded slot with one running-sum scan.  Past 64 it does not
-accumulate every count: running sums above 256 are fresh int objects,
-and in an order-0 context of near-random data that list cost more than
-the rest of the symbol's decoding.  It sums the counts 32 at a time
-until the sum passes the decoded slot, then accumulates only that
-chunk, seeded with the sum so far; an all-excluded chunk sums to 0 and
-is passed over.
+excluded entries zeroed.  It finds the decoded slot with one
+running-sum scan.  In a context of more than 64 symbols the scan covers
+one chunk of 32 counts: running sums above 256 are fresh int objects,
+and in an order-0 context of near-random data accumulating every count
+cost more than the rest of the symbol's decoding.  So the decoder first
+skips whole chunks by their sums until the sum passes the decoded slot;
+an all-excluded chunk sums to 0 and is skipped.
 
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
@@ -52,8 +51,7 @@ next active list ends there: on near-random input most contexts never
 become nodes.
 """
 
-from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from bisect import bisect_left
 
 from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
 from voicepack.errors import CorruptStream
@@ -138,29 +136,6 @@ class ContextModel:
         self.contexts = nxt
 
 
-def _masked_counts(ctx, excl):
-    """Counts of `ctx` with the excluded symbols zeroed, and their sum.
-
-    Only the decoder calls this, and only with a non-empty `excl`.  That
-    is a subset of `ctx.syms` (see the module docstring), so each
-    excluded symbol is found by bisection, or is its own index in a full
-    context.
-    """
-    cnts = ctx.cnts[:]
-    avail = ctx.total
-    if len(cnts) == _FULL:
-        for e in excl:
-            avail -= cnts[e]
-            cnts[e] = 0
-        return cnts, avail
-    syms = ctx.syms
-    for e in excl:
-        i = bisect_left(syms, e)
-        avail -= cnts[i]
-        cnts[i] = 0
-    return cnts, avail
-
-
 def _encode_symbol(enc, contexts, sym):
     excl = ()
     for ctx in reversed(contexts):
@@ -194,37 +169,36 @@ def _decode_symbol(dec, contexts):
         esc = len(syms)
         if esc == len(excl):  # excl is a subset of syms: nothing is left
             continue
+        cnts = ctx.cnts
+        avail = ctx.total
         if excl:
-            cnts, avail = _masked_counts(ctx, excl)
-        else:
-            cnts, avail = ctx.cnts, ctx.total
+            cnts = cnts[:]
+            full = esc == _FULL
+            for e in excl:
+                i = e if full else bisect_left(syms, e)
+                avail -= cnts[i]
+                cnts[i] = 0
         total = avail + esc
         v = dec.decode_freq(total)
         if v >= avail:
             dec.decode_update(avail, esc, total)
             excl = syms
             continue
-        if esc <= _SMALL:
-            # v < avail, the sum of all counts, ends the scan
-            cum = idx = 0
-            for c in cnts:
-                if v < cum + c:
-                    break
-                cum += c
-                idx += 1
-        else:
-            # v < avail, the sum of all chunks, bounds the walk
-            at = 0
-            base = 0
+        # v < avail, the sum of all counts, ends the walk and then the scan
+        cum = idx = 0
+        chunk = cnts
+        if esc > _SMALL:
             top = sum(cnts[:_CHUNK])
             while top <= v:
-                at += _CHUNK
-                base = top
-                top += sum(cnts[at:at + _CHUNK])
-            cums = list(accumulate(cnts[at:at + _CHUNK], initial=base))
-            j = bisect_right(cums, v)
-            idx = at + j - 1
-            cum = cums[j - 1]
+                idx += _CHUNK
+                cum = top
+                top += sum(cnts[idx:idx + _CHUNK])
+            chunk = cnts[idx:idx + _CHUNK]
+        for c in chunk:
+            if v < cum + c:
+                break
+            cum += c
+            idx += 1
         dec.decode_update(cum, cnts[idx], total)
         return syms[idx]
     total = _NUM_MINUS1 - len(excl)

@@ -45,12 +45,19 @@ class RangeEncoder:
         self.low = (low << 8) & MASK32
 
     def encode(self, cum, freq, total):
-        """Narrow the interval to [cum, cum+freq) out of `total`."""
+        """Narrow the interval to [cum, cum+freq) out of `total`.
+
+        Raises ValueError if the slot ends past `total`.  A zero `freq` is
+        not checked: no model codes a zero count, and the check would
+        cost every symbol a comparison.
+        """
         r = self.range // total
         self.low += r * cum
         if cum + freq < total:
             self.range = r * freq
         else:
+            if cum + freq > total:
+                raise ValueError(f"slot [{cum}, {cum + freq}) ends past total {total}")
             self.range -= r * cum
         while self.range < TOP:
             self.range <<= 8

@@ -169,6 +169,21 @@ def test_corpus_and_bench_with_manifest(tmp_path, capsys):
     assert len(list(report.glob("*.svg"))) == 6
 
 
+@pytest.mark.parametrize("text, line", [
+    ("sentence_id,trial,path\nS1,1,a.bin\nS1,2\n", 3),
+    ("sentence_id,path\nS1,a.bin\n", 2),
+    ("sentence_id,trial,path\nS1,,a.bin\n", 2),
+], ids=["short-row", "no-trial-column", "empty-trial"])
+def test_bench_manifest_missing_field_is_data_error(tmp_path, capsys, text, line):
+    (tmp_path / "a.bin").write_bytes(b"abc")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(text)
+    assert run_cli(["bench", "--manifest", str(manifest),
+                    "--out", str(tmp_path / "report")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("voicepack: ") and f"{manifest}, line {line}:" in err
+
+
 def test_bench_command_writes_report(tmp_path, capsys):
     report = tmp_path / "report"
     assert run_cli(["bench", "--seed", "42", "--out", str(report)]) == 0

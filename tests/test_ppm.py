@@ -293,7 +293,7 @@ def order1_model(alphabet):
     return model
 
 
-@pytest.mark.parametrize("alphabet", [64, 65, 256])
+@pytest.mark.parametrize("alphabet", [64, 65, 100, 256])
 def test_decode_slots_match_masked_cumulative_counts(alphabet):
     model = order1_model(alphabet)
     check_decode_slots(model.root)
@@ -311,7 +311,7 @@ class ScriptedEncoder:
         self.triples.append((cum, freq, total))
 
 
-@pytest.mark.parametrize("alphabet", [64, 65, 256])
+@pytest.mark.parametrize("alphabet", [64, 65, 100, 256])
 def test_encode_slots_match_masked_cumulative_counts(alphabet):
     # every octet and EOS, coded in the order-0 context after an escape
     # from an order-1 one: hits below, between and above the excluded

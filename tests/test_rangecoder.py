@@ -58,6 +58,14 @@ def test_static_interval_two_symbols():
     assert abs((enc.low + enc.range) / TWO32 - 0.75) < 1e-6
 
 
+@pytest.mark.parametrize("cum, freq, total", [(11, 1, 10), (5, 10, 10)])
+def test_slot_past_total_rejected(cum, freq, total):
+    # unchecked, (11, 1, 10) drives `range` negative and renormalizes
+    # forever, and (5, 10, 10) codes a wrong interval without an error
+    with pytest.raises(ValueError):
+        RangeEncoder().encode(cum, freq, total)
+
+
 # a static five-symbol model
 FREQS = [5, 1, 9, 2, 3]
 CUMS = [0, 5, 6, 15, 17, 20]
