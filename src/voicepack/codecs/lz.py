@@ -3,10 +3,15 @@
 The parser is greedy: at each position it takes the longest match found
 through a hash chain over 3-octet prefixes (capped at 256 candidates per
 position, which bounds pathological inputs without affecting realistic
-ones).  Matches shorter than MIN_MATCH become literals, and overlapping
-matches (offset smaller than length) are legal.  A token is a plain
-tuple: (0, octet) for a literal, (offset, length) for a match; offsets
-are at least 1, so the first field tells the two apart.
+ones).  Every position with a full prefix enters the chain exactly once,
+in increasing order, whatever the parse decides: a position just before
+its own search, the rest of a match just after it.  Candidates are tried
+from the most recent, so the first longest wins, and a candidate is
+extended only once its first best_len + 1 octets match, since only a
+longer match can win.  Matches shorter than MIN_MATCH become literals,
+and overlapping matches (offset smaller than length) are legal.  A token
+is a plain tuple: (0, octet) for a literal, (offset, length) for a
+match; offsets are at least 1, so the first field tells the two apart.
 
 Token coding keeps separate adaptive probability contexts per decision
 and conditions the literal/match flag and the literal tree on the kind
@@ -36,43 +41,36 @@ def lz77_parse(data):
     get = head.get
     i = 0
     while i < n:
-        best_len = 0
-        best_pos = -1
+        # every candidate shares the 3-octet prefix, so it matches at least that
+        best_len = MIN_MATCH - 1
         if i + 3 <= n:
             key = data[i:i + 3]
-            cand = get(key, -1)
-            limit = i - WINDOW
-            max_len = min(MAX_MATCH, n - i)
-            tries = _CHAIN_TRIES
-            while cand >= limit and cand >= 0 and tries:
-                tries -= 1
-                probe = i + best_len
-                if best_len == 0 or (probe < n and data[cand + best_len] == data[probe]):
-                    l = 0
-                    while l < max_len and data[cand + l] == data[i + l]:
-                        l += 1
-                    if l > best_len:
+            cand = chain[i] = get(key, -1)
+            head[key] = i
+            if cand >= 0:
+                limit = max(i - WINDOW, 0)
+                max_len = min(MAX_MATCH, n - i)
+                tries = _CHAIN_TRIES
+                while cand >= limit and tries:
+                    tries -= 1
+                    l = best_len + 1
+                    if data[cand:cand + l] == data[i:i + l]:
+                        while l < max_len and data[cand + l] == data[i + l]:
+                            l += 1
                         best_len = l
                         best_pos = cand
                         if l == max_len:
                             break
-                cand = chain[cand]
+                    cand = chain[cand]
         if best_len >= MIN_MATCH:
             tokens.append((i - best_pos, best_len))
-            stop = min(i + best_len, n - 2)
-            j = i
-            while j < stop:
+            for j in range(i + 1, min(i + best_len, n - 2)):
                 key = data[j:j + 3]
                 chain[j] = get(key, -1)
                 head[key] = j
-                j += 1
             i += best_len
         else:
             tokens.append((0, data[i]))
-            if i + 3 <= n:
-                key = data[i:i + 3]
-                chain[i] = get(key, -1)
-                head[key] = i
             i += 1
     return tokens
 

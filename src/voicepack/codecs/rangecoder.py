@@ -11,6 +11,12 @@ than 33 bits.  Three symbol interfaces are exposed:
   LZ token coder;
 * direct bits at probability one half, for match-offset tails.
 
+A binary decision renormalizes with one shift at most.  A cell moves a
+32nd of its distance to the coded bit, rounded down, so it stays in
+[31, 2017] out of 2048.  Either side of a range of at least TOP = 2**24
+then keeps at least 2**13 * 31 > 2**16, which one 8-bit shift brings
+back to TOP.  Frequency coding can narrow further and loops.
+
 A decoder reading past the end of its buffer sees zero octets, which lets
 an encoder trim trailing zeros without changing the decoded stream.
 """
@@ -47,61 +53,67 @@ class RangeEncoder:
     def encode(self, cum, freq, total):
         """Narrow the interval to [cum, cum+freq) out of `total`.
 
-        Raises ValueError if the slot ends past `total`.  A zero `freq` is
-        not checked: no model codes a zero count, and the check would
-        cost every symbol a comparison.
+        Raises ValueError if the slot ends past `total`, or if a zero
+        `freq` leaves no range.  The second check sits in the
+        renormalization loop, so a symbol that needs none pays nothing.
         """
         r = self.range // total
         self.low += r * cum
         if cum + freq < total:
-            self.range = r * freq
+            rng = r * freq
         else:
             if cum + freq > total:
                 raise ValueError(f"slot [{cum}, {cum + freq}) ends past total {total}")
-            self.range -= r * cum
-        while self.range < TOP:
-            self.range <<= 8
+            rng = self.range - r * cum
+        while rng < TOP:
+            if not rng:
+                raise ValueError(f"slot [{cum}, {cum + freq}) of total {total} is empty")
+            rng <<= 8
             self._shift_low()
+        self.range = rng
 
     def encode_bit(self, probs, index, bit):
         p = probs[index]
-        bound = (self.range >> PROB_BITS) * p
+        rng = self.range
+        bound = (rng >> PROB_BITS) * p
         if bit:
             self.low += bound
-            self.range -= bound
+            rng -= bound
             probs[index] = p - (p >> PROB_MOVE)
         else:
-            self.range = bound
+            rng = bound
             probs[index] = p + ((PROB_ONE - p) >> PROB_MOVE)
-        while self.range < TOP:
-            self.range <<= 8
+        if rng < TOP:
+            rng <<= 8
             self._shift_low()
+        self.range = rng
 
     def encode_tree(self, probs, base, nbits, value):
         """Code `value` as nbits binary decisions down an adaptive tree.
 
         Equivalent to encode_bit per bit with context index base+node,
         kept in one call because literals ride this path."""
-        ctx = 1
         rng = self.range
-        shift_low = self._shift_low
-        for shift in range(nbits - 1, -1, -1):
-            bit = (value >> shift) & 1
-            i = base + ctx
+        low = self.low
+        value |= 1 << nbits  # a marker on top: value >> shift is the node of bit shift - 1
+        for shift in range(nbits, 0, -1):
+            i = base + (value >> shift)
             p = probs[i]
             bound = (rng >> PROB_BITS) * p
-            if bit:
-                self.low += bound
+            if (value >> (shift - 1)) & 1:
+                low += bound
                 rng -= bound
                 probs[i] = p - (p >> PROB_MOVE)
             else:
                 rng = bound
                 probs[i] = p + ((PROB_ONE - p) >> PROB_MOVE)
-            while rng < TOP:
+            if rng < TOP:
                 rng <<= 8
-                shift_low()
-            ctx = (ctx << 1) | bit
+                self.low = low
+                self._shift_low()
+                low = self.low
         self.range = rng
+        self.low = low
 
     def encode_direct(self, value, nbits):
         for shift in range(nbits - 1, -1, -1):
@@ -144,32 +156,40 @@ class RangeDecoder:
         return total - 1 if v >= total else v
 
     def decode_update(self, cum, freq, total):
-        """Commit the symbol at [cum, cum+freq) out of `total`, as encode does."""
+        """Commit the symbol at [cum, cum+freq) out of `total`, as encode
+        does; like encode, raises ValueError when a zero `freq` leaves no range."""
         r = self.range // total
         self.code -= r * cum
         if cum + freq < total:
-            self.range = r * freq
+            rng = r * freq
         else:
-            self.range -= r * cum
-        while self.range < TOP:
+            rng = self.range - r * cum
+        while rng < TOP:
+            if not rng:
+                raise ValueError(f"slot [{cum}, {cum + freq}) of total {total} is empty")
             self.code = ((self.code << 8) | self._byte()) & MASK32
-            self.range <<= 8
+            rng <<= 8
+        self.range = rng
 
     def decode_bit(self, probs, index):
         p = probs[index]
-        bound = (self.range >> PROB_BITS) * p
-        if self.code < bound:
-            self.range = bound
+        rng = self.range
+        code = self.code
+        bound = (rng >> PROB_BITS) * p
+        if code < bound:
+            rng = bound
             probs[index] = p + ((PROB_ONE - p) >> PROB_MOVE)
             bit = 0
         else:
-            self.code -= bound
-            self.range -= bound
+            code -= bound
+            rng -= bound
             probs[index] = p - (p >> PROB_MOVE)
             bit = 1
-        while self.range < TOP:
-            self.code = ((self.code << 8) | self._byte()) & MASK32
-            self.range <<= 8
+        if rng < TOP:
+            code = ((code << 8) | self._byte()) & MASK32
+            rng <<= 8
+        self.range = rng
+        self.code = code
         return bit
 
     def decode_tree(self, probs, base, nbits):
@@ -177,7 +197,6 @@ class RangeDecoder:
         ctx = 1
         rng = self.range
         code = self.code
-        byte = self._byte
         for _ in range(nbits):
             i = base + ctx
             p = probs[i]
@@ -191,8 +210,8 @@ class RangeDecoder:
                 rng -= bound
                 probs[i] = p - (p >> PROB_MOVE)
                 ctx = (ctx << 1) | 1
-            while rng < TOP:
-                code = ((code << 8) | byte()) & MASK32
+            if rng < TOP:
+                code = ((code << 8) | self._byte()) & MASK32
                 rng <<= 8
         self.range = rng
         self.code = code

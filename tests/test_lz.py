@@ -1,6 +1,11 @@
+import hashlib
 import random
+from bisect import bisect_left
+
+import pytest
 
 from voicepack.codecs.lz import (
+    _CHAIN_TRIES,
     MAX_MATCH,
     MIN_MATCH,
     WINDOW,
@@ -9,6 +14,89 @@ from voicepack.codecs.lz import (
     lz77_parse,
 )
 from voicepack.errors import CorruptStream
+
+
+def reference_parse(data, window=WINDOW, tries=_CHAIN_TRIES):
+    """The parse rule, by brute force: every earlier position with the same
+    3-octet prefix is a candidate, of which the `tries` most recent at most
+    `window` back are tried; the longest match wins, the most recent among
+    equals, up to MAX_MATCH or the end of the input."""
+    n = len(data)
+    seen = {}  # 3-octet prefix -> its positions so far, ascending
+    tokens = []
+    i = 0
+    while i < n:
+        best_len = best_pos = 0
+        js = seen.get(data[i:i + 3], [])
+        near = js[max(bisect_left(js, i - window), len(js) - tries):]
+        for j in reversed(near):
+            l = 0
+            while l < min(MAX_MATCH, n - i) and data[j + l] == data[i + l]:
+                l += 1
+            if l > best_len:
+                best_len, best_pos = l, j
+        step = best_len if best_len >= MIN_MATCH else 1
+        tokens.append((i - best_pos, best_len) if step > 1 else (0, data[i]))
+        for j in range(i, min(i + step, n - 2)):
+            seen.setdefault(data[j:j + 3], []).append(j)
+        i += step
+    return tokens
+
+
+def far_repeat_input():
+    """36,000 random octets, then their first 3,000 again: every repeat
+    lies 36,000 octets back, past WINDOW."""
+    head = random.Random(41).randbytes(36_000)
+    return head + head[:3000]
+
+
+def crowded_prefix_input():
+    """300 pieces b"abc" + a 2-octet count + b".", then b"#" and pieces 0
+    and 100 again: the first piece is past the 256 candidates tried, the
+    100th within them.  The b"#" keeps a match from running into them."""
+    pieces = [b"abc" + k.to_bytes(2, "big") + b"." for k in range(300)]
+    return b"".join(pieces) + b"#" + pieces[0] + pieces[100]
+
+
+def two_letter_input():
+    """20,000 octets drawn from b"ab": long chains on only 8 prefixes."""
+    rng = random.Random(43)
+    return bytes(rng.choice(b"ab") for _ in range(20_000))
+
+
+# matches ending at n - 2, the last position with a 3-octet prefix, at
+# n - 1 and at n, and runs that reach the end
+BOUNDARY_INPUTS = [b"abcd" * 5 + tail for tail in (b"", b"x", b"xy", b"xyz")] + [
+    b"a" * m for m in range(1, 9)]
+
+
+@pytest.mark.parametrize("data", [
+    far_repeat_input(), crowded_prefix_input(), two_letter_input(), *BOUNDARY_INPUTS],
+    ids=lambda data: f"{len(data)}:{bytes(data[-4:])!r}")
+def test_parse_matches_brute_force_reference(data):
+    assert lz77_parse(data) == reference_parse(data)
+    assert decode_payload(encode_payload(data), len(data)) == data
+
+
+def test_reference_inputs_reach_the_limits():
+    # without the window or the try limit these parses would differ
+    data = far_repeat_input()
+    assert reference_parse(data, window=2 * WINDOW) != reference_parse(data)
+    data = crowded_prefix_input()
+    assert reference_parse(data, tries=2 * _CHAIN_TRIES) != reference_parse(data)
+    data = two_letter_input()
+    assert reference_parse(data, tries=2 * _CHAIN_TRIES) != reference_parse(data)
+
+
+# tests/test_golden.py covers inputs of up to 10,000 octets, which never
+# reach the window or the try limit
+@pytest.mark.parametrize("make_data, digest", [
+    (far_repeat_input, "46102c2eca878aa0f08a0f624701d484fc10e95c1acf333707c1c5b4617f8ce7"),
+    (crowded_prefix_input, "b1ef80b2273164d650b0261e0cfb05044904d944b5b4880ff6f2ec6a4d19c6a4"),
+    (two_letter_input, "3e1ba519c74954cfeae6b5224af6db595bcc7d9204b374a5788b2232f432d534"),
+])
+def test_payload_digests_pinned(make_data, digest):
+    assert hashlib.sha256(encode_payload(make_data())).hexdigest() == digest
 
 
 def test_parse_overlapping_match():

@@ -4,6 +4,9 @@ import pytest
 
 from voicepack.codecs.rangecoder import (
     MASK32,
+    PROB_BITS,
+    PROB_MOVE,
+    PROB_ONE,
     TOP,
     RangeDecoder,
     RangeEncoder,
@@ -30,6 +33,23 @@ class UnboundedEncoder:
         if self.low >> 32 != written and written & 0xFF == 0xFF:
             self.carries_over_ff += 1
         self.range = r * freq if cum + freq < total else self.range - r * cum
+        while self.range < TOP:
+            self.range <<= 8
+            self.low <<= 8
+            self.shifts += 1
+
+    def encode_bit(self, probs, index, bit):
+        """The binary decision with renormalization repeated until range
+        is back at TOP, where RangeEncoder shifts at most once."""
+        p = probs[index]
+        bound = (self.range >> PROB_BITS) * p
+        if bit:
+            self.low += bound
+            self.range -= bound
+            probs[index] = p - (p >> PROB_MOVE)
+        else:
+            self.range = bound
+            probs[index] = p + ((PROB_ONE - p) >> PROB_MOVE)
         while self.range < TOP:
             self.range <<= 8
             self.low <<= 8
@@ -64,6 +84,17 @@ def test_slot_past_total_rejected(cum, freq, total):
     # forever, and (5, 10, 10) codes a wrong interval without an error
     with pytest.raises(ValueError):
         RangeEncoder().encode(cum, freq, total)
+
+
+def test_zero_frequency_rejected_by_encoder():
+    # a zero count leaves `range` at 0, which no shift brings back to TOP
+    with pytest.raises(ValueError):
+        RangeEncoder().encode(0, 0, 10)
+
+
+def test_zero_frequency_rejected_by_decoder():
+    with pytest.raises(ValueError):
+        RangeDecoder(b"\1\2\3").decode_update(0, 0, 10)
 
 
 # a static five-symbol model
@@ -228,3 +259,37 @@ def test_tree_roundtrip_matches_bitwise(nbits):
     dec = RangeDecoder(data)
     probs = new_bit_probs(2 * size)
     assert [dec.decode_tree(probs, base, nbits) for base, _ in coded] == [v for _, v in coded]
+
+
+def test_one_shift_renormalizes_extreme_cells():
+    # long runs of one bit drive cells to 2017 (after zeros) and 31 (after
+    # ones); the rare bit then narrows `range` the most, yet one 8-bit shift
+    # restores range >= TOP, as the unbounded encoder's loop confirms
+    run = [0] * 300 + [1] + [0] * 20 + [1] * 300 + [0] + [1] * 20
+    bits = run * 4
+    values = [255 * b for b in run] * 2
+    enc, ref = RangeEncoder(), UnboundedEncoder()
+    probs, ref_probs = new_bit_probs(1), new_bit_probs(1)
+    seen = set()
+    for b in bits:
+        enc.encode_bit(probs, 0, b)
+        ref.encode_bit(ref_probs, 0, b)
+        assert enc.range == ref.range >= TOP
+        seen.add(probs[0])
+    tree_probs, ref_probs = new_bit_probs(256), new_bit_probs(256)
+    for v in values:
+        enc.encode_tree(tree_probs, 0, 8, v)
+        node = 1
+        for shift in range(7, -1, -1):
+            bit = (v >> shift) & 1
+            ref.encode_bit(ref_probs, node, bit)
+            node = (node << 1) | bit
+        assert enc.range == ref.range >= TOP
+    seen.update(tree_probs)
+    assert {31, 2017} <= seen
+    data = enc.finish()
+    assert data == ref.finish()
+    dec = RangeDecoder(data)
+    probs, tree_probs = new_bit_probs(1), new_bit_probs(256)
+    assert [dec.decode_bit(probs, 0) for _ in bits] == bits
+    assert [dec.decode_tree(tree_probs, 0, 8) for _ in values] == values
