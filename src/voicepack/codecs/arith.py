@@ -12,9 +12,19 @@ token alphabets have 257 symbols, so there are 17 blocks (the last holds
 only symbol 256): a lookup adds at most 16 block sums and 15 counts, and
 an update changes one count and one block sum, where a cumulative-frequency
 tree over 257 symbols would walk up to 9 nodes per update.
+
+Encoding goes one symbol per call through RangeEncoder.encode.  Decoding
+runs as one generator per stream, AdaptiveModel.decoded, which takes over
+the range decoder's registers, buffer and read position as locals, so the
+RangeDecoder is spent once the generator starts.  It divides once per
+symbol (Moffat, Neal & Witten, "Arithmetic coding revisited", ACM TOIS
+1998): r = range // total gives both the slot, code // r, and the
+narrowed range.
 """
 
-from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
+from itertools import islice
+
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeDecoder, RangeEncoder
 from voicepack.errors import CorruptStream
 
 EOS = 256
@@ -58,30 +68,59 @@ class AdaptiveModel:
         else:
             self.total = total
 
-    def decode(self, dec):
-        total = self.total
-        v = dec.decode_freq(total)
-        # v < total, so both walks stop inside the lists
-        blocks = self._blocks
-        b = 0
-        rem = v
-        while rem >= blocks[b]:
-            rem -= blocks[b]
-            b += 1
+    def decoded(self, dec):
+        """Yield the symbols the stream of RangeDecoder `dec` codes, without end.
+
+        The generator takes over `dec`'s range, code, buffer and position
+        when it starts and keeps them in locals, so `dec` is spent from
+        then on: nothing else may decode from it.  `counts`, `_blocks` and
+        `total` are current at every yield.  Past the end of the buffer it
+        reads zero octets, as RangeDecoder._byte does.
+        """
+        rng = dec.range
+        code = dec.code
+        data = dec._data
+        pos = dec._pos
+        end = len(data)
         counts = self.counts
-        s = b << BLOCK_SHIFT
-        while rem >= counts[s]:
-            rem -= counts[s]
-            s += 1
-        dec.decode_update(v - rem, counts[s], total)
-        counts[s] += ADAPT_INCREMENT
-        blocks[b] += ADAPT_INCREMENT
-        total += ADAPT_INCREMENT
-        if total > MAX_TOTAL:
-            self._set_counts([max(1, c >> 1) for c in counts])
-        else:
-            self.total = total
-        return s
+        blocks = self._blocks
+        total = self.total
+        while True:
+            r = rng // total
+            v = code // r
+            if v >= total:
+                v = total - 1
+            # v < total, so both walks stop inside the lists
+            b = 0
+            rem = v
+            while rem >= blocks[b]:
+                rem -= blocks[b]
+                b += 1
+            s = b << BLOCK_SHIFT
+            while rem >= counts[s]:
+                rem -= counts[s]
+                s += 1
+            cum = v - rem
+            freq = counts[s]
+            code -= r * cum
+            # every count is at least 1 and r at least TOP >> 16, so the
+            # loop always ends
+            rng = r * freq if cum + freq < total else rng - r * cum
+            while rng < TOP:
+                code = ((code << 8) | (data[pos] if pos < end else 0)) & MASK32
+                pos += 1
+                rng <<= 8
+            counts[s] = freq + ADAPT_INCREMENT
+            blocks[b] += ADAPT_INCREMENT
+            total += ADAPT_INCREMENT
+            if total > MAX_TOTAL:
+                self._set_counts([max(1, c >> 1) for c in counts])
+                counts = self.counts
+                blocks = self._blocks
+                total = self.total
+            else:
+                self.total = total
+            yield s
 
 
 def ac_encode(data):
@@ -96,16 +135,12 @@ def ac_encode(data):
 
 
 def ac_decode(payload, original_len):
-    """Inverse of ac_encode; stops at the declared length, then requires EOS."""
-    dec = RangeDecoder(payload)
-    model = AdaptiveModel(257)
-    decode = model.decode
-    out = bytearray()
-    for _ in range(original_len):
-        s = decode(dec)
-        if s == EOS:
-            raise CorruptStream("arithmetic stream ended short of declared length")
-        out.append(s)
-    if decode(dec) != EOS:
+    """Inverse of ac_encode; stops at the declared length or at an earlier
+    EOS, whichever comes first, then requires EOS."""
+    symbols = AdaptiveModel(257).decoded(RangeDecoder(payload))
+    out = bytes(islice(iter(symbols.__next__, EOS), original_len))
+    if len(out) < original_len:
+        raise CorruptStream("arithmetic stream ended short of declared length")
+    if next(symbols) != EOS:
         raise CorruptStream("arithmetic stream overruns declared length")
-    return bytes(out)
+    return out

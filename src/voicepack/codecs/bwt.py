@@ -176,14 +176,11 @@ def decode_payload(payload, original_len):
         stream = payload[pos:pos + stream_len]
         pos += stream_len
 
-        dec = RangeDecoder(stream)
-        model = AdaptiveModel(_TOKEN_ALPHABET)
-        decode = model.decode
         vals = bytearray()
         run = 0
         weight = 1
-        while len(vals) + run < block_len:
-            t = decode(dec)
+        # block_len >= 1, so the loop ends at the break or the raise
+        for t in AdaptiveModel(_TOKEN_ALPHABET).decoded(RangeDecoder(stream)):
             if t <= RUNB:
                 run += (t + 1) * weight
                 weight <<= 1
@@ -193,8 +190,11 @@ def decode_payload(payload, original_len):
                     run = 0
                     weight = 1
                 vals.append(t - 1)
-            if len(vals) + run > block_len:
-                raise CorruptStream("run overflows BWT block")
+            n = len(vals) + run
+            if n >= block_len:
+                if n > block_len:
+                    raise CorruptStream("run overflows BWT block")
+                break
         if run:
             vals += bytes(run)
         out += bwt_inverse(BwtBlock(mtf_decode(vals), primary))

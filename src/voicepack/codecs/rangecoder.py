@@ -19,6 +19,16 @@ back to TOP.  Frequency coding can narrow further and loops.
 
 A decoder reading past the end of its buffer sees zero octets, which lets
 an encoder trim trailing zeros without changing the decoded stream.
+
+Registers: encode_bit, encode_tree, decode_bit and decode_tree keep
+`range`, `low` and `code` in locals for the length of one call; encode
+and decode_update keep only `range` there.  Octets go out through
+_shift_low and come in through _byte.  The one exception is
+arith.AdaptiveModel.decoded (AC and BWT), which takes a decoder's
+registers, buffer and position over for a whole stream, leaving the
+decoder spent, reads octets with the same end-of-buffer rule and divides
+once per symbol.  PPM decodes through decode_freq and decode_update,
+which divide once each.
 """
 
 TOP = 1 << 24
@@ -53,17 +63,19 @@ class RangeEncoder:
     def encode(self, cum, freq, total):
         """Narrow the interval to [cum, cum+freq) out of `total`.
 
-        Raises ValueError if the slot ends past `total`, or if a zero
-        `freq` leaves no range.  The second check sits in the
-        renormalization loop, so a symbol that needs none pays nothing.
+        Raises ValueError if the slot is empty or ends past `total`.  The
+        last slot takes the range's remainder, so its branch checks both;
+        an empty slot before it leaves `range` at 0, which the
+        renormalization loop checks, so a symbol that needs none pays
+        nothing.
         """
         r = self.range // total
         self.low += r * cum
         if cum + freq < total:
             rng = r * freq
         else:
-            if cum + freq > total:
-                raise ValueError(f"slot [{cum}, {cum + freq}) ends past total {total}")
+            if cum + freq > total or not freq:
+                raise ValueError(f"slot [{cum}, {cum + freq}) of total {total} is empty or ends past it")
             rng = self.range - r * cum
         while rng < TOP:
             if not rng:
@@ -157,12 +169,15 @@ class RangeDecoder:
 
     def decode_update(self, cum, freq, total):
         """Commit the symbol at [cum, cum+freq) out of `total`, as encode
-        does; like encode, raises ValueError when a zero `freq` leaves no range."""
+        does; like encode, raises ValueError for an empty slot or one that
+        ends past `total`."""
         r = self.range // total
         self.code -= r * cum
         if cum + freq < total:
             rng = r * freq
         else:
+            if cum + freq > total or not freq:
+                raise ValueError(f"slot [{cum}, {cum + freq}) of total {total} is empty or ends past it")
             rng = self.range - r * cum
         while rng < TOP:
             if not rng:

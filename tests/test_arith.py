@@ -1,15 +1,19 @@
 import math
 import random
+import time
 
 import pytest
 
 from voicepack.codecs.arith import (
     ADAPT_INCREMENT,
+    BLOCK_WIDTH,
+    EOS,
     MAX_TOTAL,
     AdaptiveModel,
     ac_decode,
     ac_encode,
 )
+from voicepack.codecs.rangecoder import MASK32, RangeDecoder, RangeEncoder
 from voicepack.errors import CorruptStream
 
 
@@ -52,21 +56,35 @@ def test_wrong_length_rejected():
             ac_decode(ac_encode(data), declared)
 
 
-class _CoderStub:
-    """Stands in for both range coder ends: records each (cum, freq, total)
-    triple, and points the decoder at slot `v`."""
+def test_early_eos_with_lying_length_raises_promptly():
+    # decoding stops at the first EOS, not at the declared length
+    start = time.perf_counter()
+    with pytest.raises(CorruptStream, match="ended short of declared length"):
+        ac_decode(ac_encode(b"abcdef"), 2**31)
+    assert time.perf_counter() - start < 1.0
+
+
+class _TripleRecorder:
+    """Stands in for RangeEncoder: records each (cum, freq, total) triple."""
 
     def __init__(self):
-        self.v = 0
         self.triples = []
 
     def encode(self, cum, freq, total):
         self.triples.append((cum, freq, total))
 
-    def decode_freq(self, total):
-        return self.v
 
-    decode_update = encode
+def _decoder_at(slot, total):
+    """A RangeDecoder whose registers point at `slot` out of `total`."""
+    dec = RangeDecoder(b"")
+    r = MASK32 // total
+    dec.range = r * total
+    dec.code = slot * r
+    return dec
+
+
+def _block_sums(counts):
+    return [sum(counts[i:i + BLOCK_WIDTH]) for i in range(0, len(counts), BLOCK_WIDTH)]
 
 
 def test_model_matches_naive_counts():
@@ -79,25 +97,53 @@ def test_model_matches_naive_counts():
     for n in (16, 257):
         enc_model = AdaptiveModel(n)
         dec_model = AdaptiveModel(n)
-        stub = _CoderStub()
+        recorder = _TripleRecorder()
         naive = [1] * n
         rescales = 0
         for _ in range(6000):
             s = rng.choice((rng.randrange(n), n - 1 - rng.randrange(3), n - 1 - rng.randrange(3)))
             expect = (sum(naive[:s]), naive[s], sum(naive))
-            enc_model.encode(stub, s)
+            # perfbench's _replay_ac feeds these triples to RangeEncoder in
+            # place of the model, so encode must code exactly this one
+            enc_model.encode(recorder, s)
+            assert recorder.triples == [expect]
+            recorder.triples.clear()
             # first or last slot of the symbol's interval
-            stub.v = expect[0] + rng.choice((0, naive[s] - 1))
-            assert dec_model.decode(stub) == s
-            assert stub.triples == [expect, expect]
-            stub.triples.clear()
+            slot = expect[0] + rng.choice((0, naive[s] - 1))
+            assert next(dec_model.decoded(_decoder_at(slot, expect[2]))) == s
             naive[s] += ADAPT_INCREMENT
             if sum(naive) > MAX_TOTAL:
                 naive = [max(1, c >> 1) for c in naive]
                 rescales += 1
             assert enc_model.counts == dec_model.counts == naive
             assert enc_model.total == dec_model.total == sum(naive)
+            assert enc_model._blocks == dec_model._blocks == _block_sums(naive)
         assert rescales >= 3
+
+
+def test_decoder_model_is_current_at_every_yield():
+    # one generator over a real stream that halves its counts more than
+    # once: after each symbol its model equals a model that has encoded
+    # the same symbols
+    rng = random.Random(12)
+    data = [rng.getrandbits(8) & rng.getrandbits(8) for _ in range(5000)] + [EOS]
+    enc = RangeEncoder()
+    enc_model = AdaptiveModel(257)
+    for s in data:
+        enc_model.encode(enc, s)
+    mirror = AdaptiveModel(257)
+    recorder = _TripleRecorder()
+    model = AdaptiveModel(257)
+    halvings = 0
+    for expect, s in zip(data, model.decoded(RangeDecoder(enc.finish()))):
+        assert s == expect
+        halvings += mirror.total + ADAPT_INCREMENT > MAX_TOTAL
+        mirror.encode(recorder, s)
+        assert model.total == mirror.total
+        assert model.counts == mirror.counts
+        assert model._blocks == mirror._blocks
+    assert model.counts == enc_model.counts
+    assert halvings >= 2
 
 
 def entropy_bits(probs):

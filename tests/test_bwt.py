@@ -8,6 +8,8 @@ from voicepack.codecs import bwt
 from voicepack.codecs.arith import AdaptiveModel
 from voicepack.codecs.bwt import (
     BLOCK_SIZE,
+    RUNA,
+    RUNB,
     BwtBlock,
     bwt_forward,
     bwt_inverse,
@@ -215,16 +217,38 @@ def test_block_overrunning_declared_length_not_decoded(monkeypatch):
     assert len(calls) <= 1
 
 
+def _block_payload(block_len, tokens, primary=0):
+    """One block of the given tokens, coded as encode_payload codes them."""
+    enc = RangeEncoder()
+    model = AdaptiveModel(bwt._TOKEN_ALPHABET)
+    for t in tokens:
+        model.encode(enc, t)
+    stream = enc.finish()
+    return bwt._BLOCK_HDR.pack(block_len, primary, len(stream)) + stream
+
+
 def test_block_longer_than_block_size_raises():
     data = XYZ_BLOCK
     assert len(data) == BLOCK_SIZE + 1
     # a well-formed block the encoder never writes: one token stream for it all
     fwd = bwt_forward(data)
-    enc = RangeEncoder()
-    model = AdaptiveModel(bwt._TOKEN_ALPHABET)
-    for t in bwt.mtf_rle_encode(fwd.data):
-        model.encode(enc, t)
-    stream = enc.finish()
-    payload = bwt._BLOCK_HDR.pack(len(data), fwd.primary_index, len(stream)) + stream
+    payload = _block_payload(len(data), mtf_rle_encode(fwd.data), fwd.primary_index)
     with pytest.raises(CorruptStream):
         decode_payload(payload, BLOCK_SIZE + 1)
+
+
+def test_run_past_block_end_raises():
+    # RUNB, RUNB is the run 2 + 2 * 2 = 6, past a block of 3
+    with pytest.raises(CorruptStream, match="run overflows BWT block"):
+        decode_payload(_block_payload(3, [RUNB, RUNB]), 3)
+
+
+def test_run_ending_at_block_end_roundtrips():
+    data = b"aaaa"
+    fwd = bwt_forward(data)
+    # "a", then a run of 3 = 1 + 2 * 1 that fills the block
+    tokens = [ord("a") + 1, RUNA, RUNA]
+    assert mtf_rle_encode(fwd.data) == tokens
+    payload = _block_payload(len(data), tokens, fwd.primary_index)
+    assert payload == encode_payload(data)
+    assert decode_payload(payload, len(data)) == data

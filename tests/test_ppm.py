@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -386,6 +387,14 @@ def test_wrong_length_rejected():
     ):
         with pytest.raises(CorruptStream, match=message):
             ppm_decode(ppm_encode(data, 3), declared, 3)
+
+
+def test_early_eos_with_lying_length_raises_promptly():
+    # decoding stops at the first EOS, not at the declared length
+    start = time.perf_counter()
+    with pytest.raises(CorruptStream, match="ended short of declared length"):
+        ppm_decode(ppm_encode(b"abcdef", 3), 2**31, 3)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_order_mismatch_often_detected_or_wrong():

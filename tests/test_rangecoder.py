@@ -97,6 +97,19 @@ def test_zero_frequency_rejected_by_decoder():
         RangeDecoder(b"\1\2\3").decode_update(0, 0, 10)
 
 
+@pytest.mark.parametrize("cum, freq, total", [(10, 0, 10), (9, 5, 10)])
+@pytest.mark.parametrize("commit", [
+    lambda cum, freq, total: RangeEncoder().encode(cum, freq, total),
+    lambda cum, freq, total: RangeDecoder(b"\1\2\3").decode_update(cum, freq, total),
+], ids=["encoder", "decoder"])
+def test_bad_last_slot_rejected(commit, cum, freq, total):
+    # the last slot takes the range's remainder: unchecked, an empty one
+    # leaves range % total, which renormalizes to a wrong range, and one
+    # past total narrows to a slot the encoder never codes
+    with pytest.raises(ValueError):
+        commit(cum, freq, total)
+
+
 # a static five-symbol model
 FREQS = [5, 1, 9, 2, 3]
 CUMS = [0, 5, 6, 15, 17, 20]
