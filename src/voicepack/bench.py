@@ -221,7 +221,7 @@ def load_corpus_manifest(manifest_path):
     """Read payloads named by a manifest.csv (paths relative to it).
 
     Raises ValueError, naming the manifest and line, for a row that lacks
-    a sentence_id, trial or path.
+    a sentence_id, trial or path, or whose trial is not an integer.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -230,10 +230,13 @@ def load_corpus_manifest(manifest_path):
         reader = csv.DictReader(fh)
         for row in reader:
             sid, trial, name = (row.get(k) for k in ("sentence_id", "trial", "path"))
+            where = f"{manifest_path}, line {reader.line_num}"
             if not (sid and trial and name):
-                raise ValueError(f"{manifest_path}, line {reader.line_num}: "
-                                 "needs a sentence_id, trial and path")
-            trial = int(trial)
+                raise ValueError(f"{where}: needs a sentence_id, trial and path")
+            try:
+                trial = int(trial)
+            except ValueError:
+                raise ValueError(f"{where}: trial {trial!r} is not an integer") from None
             path = base / name
             data = path.read_bytes()
             meta = _SENTENCES.get(sid)

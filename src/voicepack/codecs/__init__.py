@@ -43,10 +43,9 @@ class AlgorithmId(IntEnum):
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """The fixed LZW code width and PPM order every container is coded with."""
+    """The PPM order the benchmark's update replay uses; no codec reads it."""
 
-    lzw_max_code_bits: int = 14
-    ppm_order: int = 3
+    ppm_order: int = ppm.ORDER
 
 
 DEFAULT_CONFIG = CodecConfig()
@@ -86,8 +85,8 @@ _CODECS = {
         lambda data: data,
         lambda payload, n: payload),
     AlgorithmId.LZW: (
-        lambda data: lzw.encode_payload(data, DEFAULT_CONFIG.lzw_max_code_bits),
-        lambda payload, n: lzw.decode_payload(payload, n, DEFAULT_CONFIG.lzw_max_code_bits)),
+        lambda data: lzw.encode_payload(data),
+        lambda payload, n: lzw.decode_payload(payload, n)),
     AlgorithmId.LZMA: (
         lambda data: lz.encode_payload(data),
         lambda payload, n: lz.decode_payload(payload, n)),
@@ -95,8 +94,8 @@ _CODECS = {
         lambda data: huffman.huffman_encode(data),
         lambda payload, n: huffman.huffman_decode(payload, n)),
     AlgorithmId.PPM: (
-        lambda data: ppm.ppm_encode(data, DEFAULT_CONFIG.ppm_order),
-        lambda payload, n: ppm.ppm_decode(payload, n, DEFAULT_CONFIG.ppm_order)),
+        lambda data: ppm.ppm_encode(data),
+        lambda payload, n: ppm.ppm_decode(payload, n)),
     AlgorithmId.AC: (
         lambda data: arith.ac_encode(data),
         lambda payload, n: arith.ac_decode(payload, n)),

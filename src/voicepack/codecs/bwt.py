@@ -45,17 +45,18 @@ def bwt_forward(block):
     """Last column of the sorted rotations plus the unrotated row's index.
 
     Each round sorts the (rank, rank k octets on) pairs by two stable
-    argsorts, second key first.  Ranks are below n, so a block of up to
-    BLOCK_SIZE = 2**16 octets keeps them in uint16, which numpy sorts by
-    radix; only a longer block needs int64.
+    argsorts, second key first.  Ranks are below n <= BLOCK_SIZE = 2**16,
+    so they fit in uint16, which numpy sorts by radix.  Raises ValueError
+    for a longer block; encode_payload cuts blocks at BLOCK_SIZE.
     """
     n = len(block)
+    if n > BLOCK_SIZE:
+        raise ValueError(f"BWT block of {n} octets exceeds BLOCK_SIZE")
     if n == 0:
         return BwtBlock(b"", 0)
     import numpy as np
     arr = np.frombuffer(bytes(block), dtype=np.uint8)
-    dtype = np.uint16 if n <= 1 << 16 else np.int64
-    rank = arr.astype(dtype)
+    rank = arr.astype(np.uint16)
     k = 1
     while k < n:
         key2 = np.concatenate((rank[k:], rank[:k]))
@@ -63,9 +64,9 @@ def bwt_forward(block):
         order = order[np.argsort(rank[order], kind="stable")]
         r1 = rank[order]
         r2 = key2[order]
-        new_rank = np.zeros(n, dtype=dtype)
+        new_rank = np.zeros(n, dtype=np.uint16)
         changed = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-        np.cumsum(changed, dtype=dtype, out=new_rank[1:])
+        np.cumsum(changed, dtype=np.uint16, out=new_rank[1:])
         rank[order] = new_rank
         if new_rank[-1] == n - 1:
             break

@@ -2,27 +2,29 @@
 
 Code j of the stream (counting from 0) takes
 
-    min(max_code_bits, max(9, (255 + j).bit_length()))
+    min(14, max(9, (255 + j).bit_length()))
 
-bits: the dictionary gains one entry per code after the first, so a
-code is always narrower than the next free slot, and both ends know
-every width from its position alone.  Once the dictionary holds
-2**max_code_bits entries it freezes: no further entries are added and
-coding continues with the full table.  The packed payload carries no
-code count; the decoder stops once it has produced the declared number
-of octets.  Codes are packed most-significant bit first; the final
-partial octet is zero-padded on the right.
+bits, 14 being MAX_CODE_BITS: the dictionary gains one entry per code
+after the first, so a code is always narrower than the next free slot,
+and both ends know every width from its position alone.  Once the
+dictionary holds 2**14 entries it freezes: no further entries are added
+and coding continues with the full table.  The width is not written
+into the stream, so it is a constant of the format.  The packed payload
+carries no code count; the decoder stops once it has produced the
+declared number of octets.  Codes are packed most-significant bit first;
+the final partial octet is zero-padded on the right.
 """
 
 from voicepack.errors import CorruptStream
 
+MAX_CODE_BITS = 14
 _FIRST_FREE = 256
 _START_WIDTH = 9
 
 _SINGLE = [bytes([i]) for i in range(256)]
 
 
-def lzw_encode(data, max_code_bits):
+def lzw_encode(data):
     """Return the LZW code sequence for `data`.
 
     The dictionary is keyed on (prefix code, next octet) pairs, which is
@@ -32,7 +34,7 @@ def lzw_encode(data, max_code_bits):
         return []
     table = {}
     next_code = _FIRST_FREE
-    cap = 1 << max_code_bits
+    cap = 1 << MAX_CODE_BITS
     codes = []
     cur = data[0]
     for b in memoryview(data)[1:]:
@@ -50,15 +52,15 @@ def lzw_encode(data, max_code_bits):
     return codes
 
 
-def pack_codes(codes, max_code_bits):
+def pack_codes(codes):
     """Pack a code sequence into the variable-width bitstream.
 
     Width w runs up to code (1 << w) - 255; the widest takes the rest.
     """
     runs = []
     start = 0
-    for w in range(_START_WIDTH, max_code_bits + 1):
-        end = len(codes) if w == max_code_bits else (1 << w) - 255
+    for w in range(_START_WIDTH, MAX_CODE_BITS + 1):
+        end = len(codes) if w == MAX_CODE_BITS else (1 << w) - 255
         fmt = f"0{w}b"
         runs.append("".join([format(c, fmt) for c in codes[start:end]]))
         start = end
@@ -67,15 +69,15 @@ def pack_codes(codes, max_code_bits):
     return int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
 
 
-def encode_payload(data, max_code_bits):
-    return pack_codes(lzw_encode(data, max_code_bits), max_code_bits)
+def encode_payload(data):
+    return pack_codes(lzw_encode(data))
 
 
-def decode_payload(payload, original_len, max_code_bits):
+def decode_payload(payload, original_len):
     """Decode a packed stream, stopping at the declared output length."""
     table = _SINGLE[:]
     next_code = _FIRST_FREE
-    cap = 1 << max_code_bits
+    cap = 1 << MAX_CODE_BITS
     w = _START_WIDTH
     threshold = 1 << w
     acc = nbits = pos = 0
@@ -102,7 +104,7 @@ def decode_payload(payload, original_len, max_code_bits):
         if prev and next_code < cap:
             table.append(prev + entry[:1])
             next_code += 1
-            if next_code == threshold and w < max_code_bits:
+            if next_code == threshold and w < MAX_CODE_BITS:
                 w += 1
                 threshold <<= 1
         prev = entry

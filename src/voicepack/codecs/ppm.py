@@ -5,6 +5,9 @@ context also prices an escape equal to its number of distinct symbols.
 Coding starts at the longest available context and walks down one order
 per escape, excluding symbols already rejected at higher orders, until
 an order -1 model uniform over the 256 octets plus end-of-stream.
+Streams are coded with k = ORDER = 3.  The order is not written into
+the stream, so it is a constant of the format; ContextModel still takes
+any order, for its tests and the benchmark's update replay.
 
 Every symbol is counted under all of its contexts, orders 0..k, and
 halving never drops one, so the symbols of a context are a subset of
@@ -56,6 +59,7 @@ from bisect import bisect_left
 from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
 from voicepack.errors import CorruptStream
 
+ORDER = 3
 EOS = 256
 _NUM_MINUS1 = 257
 _FULL = 256  # a context holding every octet: its symbol list is range(256)
@@ -210,9 +214,9 @@ def _decode_symbol(dec, contexts):
     return v
 
 
-def ppm_encode(data, order):
-    """Compress octets with an order-k context model."""
-    model = ContextModel(order)
+def ppm_encode(data):
+    """Compress octets with an order-ORDER context model."""
+    model = ContextModel(ORDER)
     enc = RangeEncoder()
     update = model.update
     for sym in data:
@@ -222,9 +226,9 @@ def ppm_encode(data, order):
     return enc.finish()
 
 
-def ppm_decode(payload, original_len, order):
+def ppm_decode(payload, original_len):
     """Inverse of ppm_encode; stops at the declared length, then requires EOS."""
-    model = ContextModel(order)
+    model = ContextModel(ORDER)
     dec = RangeDecoder(payload)
     update = model.update
     out = bytearray()

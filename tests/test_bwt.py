@@ -21,7 +21,7 @@ from voicepack.codecs.bwt import (
 from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
 
-# one octet over BLOCK_SIZE, so bwt_forward ranks it in int64
+# one octet over BLOCK_SIZE, a block bwt_forward rejects
 XYZ_BLOCK = b"xyz" * (BLOCK_SIZE // 3) + b"xyz"[:BLOCK_SIZE % 3 + 1]
 
 
@@ -83,8 +83,7 @@ def test_matches_oracle_corpus_slices(seed42_corpus, start, length):
 
 
 # Digests taken from the lexsort transform over int64 ranks.  Random
-# octets rank every rotation apart, up to 65535, the uint16 maximum;
-# XYZ_BLOCK's rotations are all distinct too, so its ranks reach 65536.
+# octets rank every rotation apart, up to 65535, the uint16 maximum.
 # The periodic block doubles until k >= n and its equal rotations keep
 # their index order.
 @pytest.mark.parametrize("data, digest, primary", [
@@ -94,13 +93,17 @@ def test_matches_oracle_corpus_slices(seed42_corpus, start, length):
      "30f597dc5fb4ea4bd7b2b5e27c2f05dafade00f13a641dc2ce90751dacf4456c", 0),
     (bytes(BLOCK_SIZE),
      "de2f256064a0af797747c2b97505dc0b9f3df0de4f489eac731c23ae9ca9cc31", 0),
-    (XYZ_BLOCK,
-     "f22fad10e63da846038439af6a20cc7b75eb3210d4f009cf1d1ddb1ad5274ad6", 21845),
-], ids=["random", "periodic", "zeros", "over_block"])
+], ids=["random", "periodic", "zeros"])
 def test_full_block_digests_pinned(data, digest, primary):
     blk = bwt_forward(data)
     assert hashlib.sha256(blk.data).hexdigest() == digest
     assert blk.primary_index == primary
+
+
+def test_forward_rejects_block_over_block_size():
+    # ranks of a longer block would not fit in uint16
+    with pytest.raises(ValueError, match="exceeds BLOCK_SIZE"):
+        bwt_forward(XYZ_BLOCK)
 
 
 def test_inverse_index_bound():
@@ -230,10 +233,10 @@ def _block_payload(block_len, tokens, primary=0):
 def test_block_longer_than_block_size_raises():
     data = XYZ_BLOCK
     assert len(data) == BLOCK_SIZE + 1
-    # a well-formed block the encoder never writes: one token stream for it all
-    fwd = bwt_forward(data)
-    payload = _block_payload(len(data), mtf_rle_encode(fwd.data), fwd.primary_index)
-    with pytest.raises(CorruptStream):
+    # a block the encoder never writes: one token stream for it all.  The
+    # tokens need not be its transform, since the header alone is rejected.
+    payload = _block_payload(len(data), mtf_rle_encode(data))
+    with pytest.raises(CorruptStream, match="overruns block size"):
         decode_payload(payload, BLOCK_SIZE + 1)
 
 

@@ -173,7 +173,8 @@ def test_corpus_and_bench_with_manifest(tmp_path, capsys):
     ("sentence_id,trial,path\nS1,1,a.bin\nS1,2\n", 3),
     ("sentence_id,path\nS1,a.bin\n", 2),
     ("sentence_id,trial,path\nS1,,a.bin\n", 2),
-], ids=["short-row", "no-trial-column", "empty-trial"])
+    ("sentence_id,trial,path\nS1,1,a.bin\nS1,x,a.bin\n", 3),
+], ids=["short-row", "no-trial-column", "empty-trial", "non-integer-trial"])
 def test_bench_manifest_missing_field_is_data_error(tmp_path, capsys, text, line):
     (tmp_path / "a.bin").write_bytes(b"abc")
     manifest = tmp_path / "manifest.csv"

@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from voicepack import codecs
 from voicepack.codecs.lzw import encode_payload as lzw_payload
 from voicepack.codecs.ppm import (
-    EOS, ContextModel, _Ctx, _decode_symbol, _encode_symbol, ppm_decode, ppm_encode)
+    EOS, ORDER, ContextModel, _Ctx, _decode_symbol, _encode_symbol, ppm_decode, ppm_encode)
+from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
 
 
@@ -185,15 +187,13 @@ def test_order_range_validated():
 
 def test_single_symbol_codes_through_escape_chain():
     # no context exists for the first symbol: order -1 carries it
-    payload = ppm_encode(b"Q", 3)
-    assert ppm_decode(payload, 1, 3) == b"Q"
+    payload = ppm_encode(b"Q")
+    assert ppm_decode(payload, 1) == b"Q"
 
 
 def test_roundtrip_texts():
-    # the trie has no upper order limit
-    for k in (0, 1, 3, 5, 12):
-        for data in (b"", b"a", b"abracadabra" * 40, bytes(range(256)) * 3):
-            assert ppm_decode(ppm_encode(data, k), len(data), k) == data
+    for data in (b"", b"a", b"abracadabra" * 40, bytes(range(256)) * 3):
+        assert ppm_decode(ppm_encode(data), len(data)) == data
 
 
 def test_roundtrip_random():
@@ -201,29 +201,45 @@ def test_roundtrip_random():
     for _ in range(20):
         n = rng.randrange(0, 2500)
         data = bytes(rng.getrandbits(8) for _ in range(n))
-        assert ppm_decode(ppm_encode(data, 3), len(data), 3) == data
+        assert ppm_decode(ppm_encode(data), len(data)) == data
 
 
 def test_roundtrip_skewed_random():
     data = skewed_input()
-    assert ppm_decode(ppm_encode(data, 3), len(data), 3) == data
+    assert ppm_decode(ppm_encode(data), len(data)) == data
 
 
-# tests/test_golden.py pins order 3 only; these pin the other orders,
-# including order 0 (the root is a leaf) and the depth-k leaf boundary.
+def coded_at(data, order):
+    """ppm_encode's coding loop over a context model of any order."""
+    model = ContextModel(order)
+    enc = RangeEncoder()
+    for sym in data:
+        _encode_symbol(enc, model.contexts, sym)
+        model.update(None, None, sym)
+    _encode_symbol(enc, model.contexts, EOS)
+    return enc.finish()
+
+
+# Every input is pinned at ORDER, the one order streams are coded with.
+# The trie keeps its order parameter, so the other orders stay pinned
+# too: order 0 (the root is a leaf) and the depth-k leaf boundary.
 @pytest.mark.parametrize("make_data, order, digest", [
     (skewed_input, 0, "ee6fcdcbf41e25a0b90fc2160060c5e38cce8561153aafa484613f6a9da53d02"),
     (skewed_input, 1, "199826377058bce4b3184a01f3bc608df19dd55e855f2a2964ae09098d1ecd39"),
     (skewed_input, 2, "7455fd4442ec298b784a53d4b65fe931d5e1c3387ba5534b335ef056fca01dc7"),
+    (skewed_input, 3, "1cddfeda01bc66759056f98bade2b3369737a8dd4fa40cec15909fe78aa6ec7c"),
     (skewed_input, 4, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
     (skewed_input, 5, "e2ac1ffd2f60f80d2802771de710b3c805f6d124b26c837359e80b23ba7885bc"),
+    (abracadabra_input, 3, "d619260a1e3facb0341bbcfaff6d7b1550017424737dcda089fdba4ab4af4b60"),
     (abracadabra_input, 5, "76147fffd4b160820b94c2b38542e9f2bde0b47f0714c60577cf4005beb4cae7"),
     (halving_input, 2, "e8c2ef3c7eaf33042aa829e1c7d0431d85112d9b662b3c04993fdb699d1eaed5"),
+    (halving_input, 3, "6df87444c2ac09726d9d7d0e3a228135f743f11ac88c681214bee99a48601bb5"),
     (random_input, 3, "5a78309d70b5f345e66776ecd2b643b6a6fc83e692d69b170fcbe14246ab052e"),
     (amr_input, 3, "8c6fcbe6585758ecdec7b730e3be67a99280902e035e7676f2770767bab06c5a"),
 ])
 def test_payload_digests_pinned(make_data, order, digest):
-    assert hashlib.sha256(ppm_encode(make_data(), order)).hexdigest() == digest
+    payload = ppm_encode(make_data()) if order == ORDER else coded_at(make_data(), order)
+    assert hashlib.sha256(payload).hexdigest() == digest
 
 
 class ScriptedDecoder:
@@ -361,19 +377,19 @@ def test_order_5_differs_from_order_4():
     # skewed_input() codes alike at orders 4 and 5, so only this input
     # shows that the order-5 pin is not an order-4 pin
     data = abracadabra_input()
-    assert ppm_encode(data, 4) != ppm_encode(data, 5)
+    assert coded_at(data, 4) != coded_at(data, 5)
 
 
 def test_rescale_path_roundtrips():
     data = halving_input()
-    assert ppm_decode(ppm_encode(data, 2), len(data), 2) == data
+    assert ppm_decode(ppm_encode(data), len(data)) == data
 
 
 def test_beats_lzw_on_long_runs():
     # regression fixture, not ground truth: high-order context modeling
     # must crush a pure dictionary coder on a single repeated symbol
     data = b"a" * 1000
-    assert len(ppm_encode(data, 3)) < len(lzw_payload(data, 14))
+    assert len(ppm_encode(data)) < len(lzw_payload(data))
 
 
 def test_wrong_length_rejected():
@@ -386,24 +402,18 @@ def test_wrong_length_rejected():
         (b"x", 0, "overruns declared length"),
     ):
         with pytest.raises(CorruptStream, match=message):
-            ppm_decode(ppm_encode(data, 3), declared, 3)
+            ppm_decode(ppm_encode(data), declared)
 
 
 def test_early_eos_with_lying_length_raises_promptly():
     # decoding stops at the first EOS, not at the declared length
     start = time.perf_counter()
     with pytest.raises(CorruptStream, match="ended short of declared length"):
-        ppm_decode(ppm_encode(b"abcdef", 3), 2**31, 3)
+        ppm_decode(ppm_encode(b"abcdef"), 2**31)
     assert time.perf_counter() - start < 1.0
 
 
-def test_order_mismatch_often_detected_or_wrong():
-    # decoding with a different order is out of contract; just ensure it
-    # cannot silently return the original payload bytes as a false pass
-    data = b"the quick brown fox jumps over the lazy dog " * 20
-    payload = ppm_encode(data, 3)
-    try:
-        got = ppm_decode(payload, len(data), 1)
-    except CorruptStream:
-        return
-    assert got != data
+def test_benchmark_replays_the_stream_order():
+    # the benchmark times ContextModel(DEFAULT_CONFIG.ppm_order).update as
+    # the production model's update
+    assert codecs.DEFAULT_CONFIG.ppm_order == ORDER
