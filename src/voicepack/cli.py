@@ -14,7 +14,7 @@ from pathlib import Path
 
 from voicepack import bench, sms
 from voicepack.codecs import AlgorithmId, CompressedBlob, compress, decompress
-from voicepack.errors import VoicepackError
+from voicepack.errors import MissingSegment, VoicepackError
 from voicepack.pipeline import SmsBundle, decode_message, encode_message
 
 ENV_ROOT = "VOICEPACK_ROOT"
@@ -111,7 +111,10 @@ def _cmd_send(args):
 
 
 def _cmd_receive(args):
-    segments = sms.inbox_collect(_root(args), args.ref)
+    tdir = _root(args)
+    segments = sms.inbox_collect(tdir, args.ref)
+    if not segments:
+        raise MissingSegment((), f"no segment with reference {args.ref} in {tdir.inbox}")
     bundle = SmsBundle(args.ref, tuple(segments), None)
     Path(args.out_path).write_bytes(decode_message(bundle).data)
     print(args.out_path)

@@ -19,17 +19,47 @@ never seen.  End-of-stream is never counted, so a context holding all
 256 octets has the symbol list range(256): there each excluded symbol is
 its own index, found without bisection; elsewhere bisection finds it.
 
+Each stream is coded in one frame, as arith.AdaptiveModel.decoded does
+for AC and BWT: the encoder keeps the range coder's `low`, `range` and
+output buffer in locals for the whole stream, the decoder (a generator)
+takes over the decoder's range, code, buffer and read position, and
+each coding step divides once (Moffat, Neal & Witten, "Arithmetic
+coding revisited", ACM TOIS 1998): r = range // total gives the slot,
+code // r, and the narrowed range.  A symbol's slot always has the
+escape after it, so only the escape and the last order -1 slot take the
+range's remainder.  The encoder adds carries through
+rangecoder.carry, as RangeEncoder._shift_low does.
+
+No slot is empty, so no coding step checks one.  Every count is at
+least 1 (halving keeps a minimum of 1) and excluded symbols are left out
+of the total, not coded with count 0; a context is coded only if some
+symbol is left, so the escape frequency, its number of symbols, is at
+least 1 and the counts left sum to at least 1; each order -1 slot has
+frequency 1.  A context's total stays below _RESCALE_AT and its escape
+at most 256, so total < 2**16, and range >= TOP = 2**24 gives
+r >= 2**24 // 2**16 = 256.  Every slot then narrows the range to at
+least 256, and each renormalization loop ends.
+
 The encoder copies no counts: it subtracts each excluded count from the
 context's total, and from the symbol's cumulative count when the
 excluded symbol sorts below it.  The decoder codes a context with
-nothing excluded from its own counts, and otherwise from a copy with the
-excluded entries zeroed.  It finds the decoded slot with one
-running-sum scan.  In a context of more than 64 symbols the scan covers
-one chunk of 32 counts: running sums above 256 are fresh int objects,
-and in an order-0 context of near-random data accumulating every count
-cost more than the rest of the symbol's decoding.  So the decoder first
-skips whole chunks by their sums until the sum passes the decoded slot;
-an all-excluded chunk sums to 0 and is skipped.
+nothing excluded from its own counts.  It finds the decoded slot with
+one running-sum scan.  In a context of more than 64 symbols the scan
+covers one chunk of 32 counts: running sums above 256 are fresh int
+objects, and accumulating every count of a large context costs more
+than the rest of the symbol's decoding.  So the decoder first skips
+whole chunks by their sums until the sum passes the decoded slot; with
+symbols excluded it works on a copy of the counts with the excluded
+entries zeroed, and an all-excluded chunk sums to 0 and is skipped.
+
+A context holding all 256 octets keeps one more list: the sum of each
+block of 16 counts, set when its 256th symbol is inserted, raised with
+the symbol's count and rebuilt when the counts halve.  The encoder's
+cumulative count there is the sum of the earlier blocks plus at most 15
+counts.  The decoder copies the 16 sums, subtracts each excluded count
+from the total and from its block's sum, walks the sums to the block
+holding the slot, and scans that one block with its excluded counts
+zeroed: it neither copies 256 counts nor re-sums them per symbol.
 
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
@@ -55,27 +85,35 @@ become nodes.
 """
 
 from bisect import bisect_left
+from itertools import chain, islice
 
-from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeDecoder, RangeEncoder, carry
 from voicepack.errors import CorruptStream
 
 ORDER = 3
 EOS = 256
 _NUM_MINUS1 = 257
 _FULL = 256  # a context holding every octet: its symbol list is range(256)
+_BLOCK_SHIFT = 4  # a full context sums its counts in blocks of 16 octets
+_BLOCK_WIDTH = 1 << _BLOCK_SHIFT
 _SMALL = 64  # the decoder scans contexts of up to this many symbols whole
 _CHUNK = 32
 _RESCALE_AT = (1 << 16) - 257
 
 
+def _block_sums(cnts):
+    return [sum(cnts[i:i + _BLOCK_WIDTH]) for i in range(0, _FULL, _BLOCK_WIDTH)]
+
+
 class _Ctx:
-    __slots__ = ("syms", "cnts", "total", "kids")
+    __slots__ = ("syms", "cnts", "total", "kids", "blocks")
 
     def __init__(self, syms, cnts, total, kids):
         self.syms = syms
         self.cnts = cnts
         self.total = total
         self.kids = kids
+        self.blocks = None  # the block sums, once the context holds all 256 octets
 
 
 class ContextModel:
@@ -115,7 +153,12 @@ class ContextModel:
         for ctx in self.contexts:
             syms = ctx.syms
             kids = ctx.kids
-            idx = bisect_left(syms, sym)
+            blocks = ctx.blocks
+            if blocks is not None:  # every octet is here, at its own index
+                idx = sym
+                blocks[sym >> _BLOCK_SHIFT] += 1
+            else:
+                idx = bisect_left(syms, sym)
             if idx < len(syms) and syms[idx] == sym:
                 ctx.cnts[idx] += 1
                 if kids is not None:
@@ -132,112 +175,211 @@ class ContextModel:
                 ctx.cnts.insert(idx, 1)
                 if kids is not None:
                     kids.insert(idx, at)
+                if len(syms) == _FULL:
+                    ctx.blocks = _block_sums(ctx.cnts)
             ctx.total += 1
             if ctx.total >= _RESCALE_AT:
                 cnts = [max(1, c >> 1) for c in ctx.cnts]
                 ctx.cnts = cnts
                 ctx.total = sum(cnts)
+                if ctx.blocks is not None:
+                    ctx.blocks = _block_sums(cnts)
         self.contexts = nxt
 
 
-def _encode_symbol(enc, contexts, sym):
-    excl = ()
-    for ctx in reversed(contexts):
-        syms = ctx.syms
-        esc = len(syms)
-        if esc == len(excl):  # excl is a subset of syms: nothing is left
-            continue
-        cnts = ctx.cnts
-        avail = ctx.total
-        below = 0
-        if excl:
-            full = esc == _FULL
+def _encode(model, data):
+    """Code `data` and then EOS under `model`, counting each octet after it
+    is coded; returns the finished stream."""
+    enc = RangeEncoder()
+    out = enc._out
+    low = enc.low
+    rng = enc.range
+    update = model.update
+    for sym in chain(data, (EOS,)):
+        excl = ()
+        for ctx in reversed(model.contexts):
+            syms = ctx.syms
+            esc = len(syms)
+            if esc == len(excl):  # excl is a subset of syms: nothing is left
+                continue
+            cnts = ctx.cnts
+            avail = ctx.total
+            blocks = ctx.blocks
+            below = 0
             for e in excl:
-                c = cnts[e] if full else cnts[bisect_left(syms, e)]
+                c = cnts[e if blocks else bisect_left(syms, e)]
                 avail -= c
                 if e < sym:
                     below += c
-        idx = bisect_left(syms, sym)
-        if idx < esc and syms[idx] == sym:
-            enc.encode(sum(cnts[:idx]) - below, cnts[idx], avail + esc)
-            return
-        enc.encode(avail, esc, avail + esc)
-        excl = syms
-    enc.encode(sym - bisect_left(excl, sym), 1, _NUM_MINUS1 - len(excl))
-
-
-def _decode_symbol(dec, contexts):
-    excl = ()
-    for ctx in reversed(contexts):
-        syms = ctx.syms
-        esc = len(syms)
-        if esc == len(excl):  # excl is a subset of syms: nothing is left
-            continue
-        cnts = ctx.cnts
-        avail = ctx.total
-        if excl:
-            cnts = cnts[:]
-            full = esc == _FULL
-            for e in excl:
-                i = e if full else bisect_left(syms, e)
-                avail -= cnts[i]
-                cnts[i] = 0
-        total = avail + esc
-        v = dec.decode_freq(total)
-        if v >= avail:
-            dec.decode_update(avail, esc, total)
-            excl = syms
-            continue
-        # v < avail, the sum of all counts, ends the walk and then the scan
-        cum = idx = 0
-        chunk = cnts
-        if esc > _SMALL:
-            top = sum(cnts[:_CHUNK])
-            while top <= v:
-                idx += _CHUNK
-                cum = top
-                top += sum(cnts[idx:idx + _CHUNK])
-            chunk = cnts[idx:idx + _CHUNK]
-        for c in chunk:
-            if v < cum + c:
+            if blocks is None:
+                idx = bisect_left(syms, sym)
+                hit = idx < esc and syms[idx] == sym
+                if hit:
+                    cum = sum(cnts[:idx]) - below
+                    freq = cnts[idx]
+            else:  # every octet is at its own index; only EOS escapes
+                hit = sym != EOS
+                if hit:
+                    b = sym >> _BLOCK_SHIFT
+                    cum = sum(blocks[:b]) + sum(cnts[b << _BLOCK_SHIFT:sym]) - below
+                    freq = cnts[sym]
+            r = rng // (avail + esc)
+            if hit:
+                low += r * cum
+                rng = r * freq
+            else:  # the escape, the last slot
+                low += r * avail
+                rng -= r * avail
+            while rng < TOP:
+                if low > MASK32:
+                    carry(out)
+                out.append((low >> 24) & 0xFF)
+                low = (low << 8) & MASK32
+                rng <<= 8
+            if hit:
                 break
-            cum += c
-            idx += 1
-        dec.decode_update(cum, cnts[idx], total)
-        return syms[idx]
-    total = _NUM_MINUS1 - len(excl)
-    v = dec.decode_freq(total)
-    dec.decode_update(v, 1, total)
-    for e in excl:
-        if e <= v:
-            v += 1
-    return v
+            excl = syms
+        else:
+            total = _NUM_MINUS1 - len(excl)
+            cum = sym - bisect_left(excl, sym)
+            r = rng // total
+            low += r * cum
+            rng = r if cum + 1 < total else rng - r * cum
+            while rng < TOP:
+                if low > MASK32:
+                    carry(out)
+                out.append((low >> 24) & 0xFF)
+                low = (low << 8) & MASK32
+                rng <<= 8
+        if sym != EOS:
+            update(None, None, sym)
+    enc.low = low
+    enc.range = rng
+    return enc.finish()
+
+
+def _decoded(model, dec):
+    """Yield the symbols the stream of RangeDecoder `dec` codes under
+    `model`, without end, counting each octet before it is yielded.
+
+    The generator takes over `dec`'s range, code, buffer and position
+    when it starts and keeps them in locals, so `dec` is spent from then
+    on.  Past the end of the buffer it reads zero octets, as
+    RangeDecoder._byte does.
+    """
+    rng = dec.range
+    code = dec.code
+    data = dec._data
+    pos = dec._pos
+    end = len(data)
+    update = model.update
+    while True:
+        excl = ()
+        for ctx in reversed(model.contexts):
+            syms = ctx.syms
+            esc = len(syms)
+            if esc == len(excl):  # excl is a subset of syms: nothing is left
+                continue
+            cnts = ctx.cnts
+            avail = ctx.total
+            blocks = ctx.blocks
+            if excl:
+                if blocks is None:
+                    cnts = cnts[:]
+                    for e in excl:
+                        i = bisect_left(syms, e)
+                        avail -= cnts[i]
+                        cnts[i] = 0
+                else:
+                    blocks = blocks[:]
+                    for e in excl:
+                        c = cnts[e]
+                        avail -= c
+                        blocks[e >> _BLOCK_SHIFT] -= c
+            r = rng // (avail + esc)
+            v = code // r
+            if v < avail:
+                # the counts left sum to avail > v: each walk and scan stops in its list
+                if blocks is None:
+                    cum = idx = 0
+                    chunk = cnts
+                    if esc > _SMALL:
+                        top = sum(cnts[:_CHUNK])
+                        while top <= v:
+                            idx += _CHUNK
+                            cum = top
+                            top += sum(cnts[idx:idx + _CHUNK])
+                        chunk = cnts[idx:idx + _CHUNK]
+                    for c in chunk:
+                        if v < cum + c:
+                            break
+                        cum += c
+                        idx += 1
+                    freq = cnts[idx]
+                    sym = syms[idx]
+                else:
+                    rem = v
+                    b = 0
+                    while rem >= blocks[b]:
+                        rem -= blocks[b]
+                        b += 1
+                    sym = b << _BLOCK_SHIFT
+                    block = cnts[sym:sym + _BLOCK_WIDTH]
+                    if excl:
+                        lo = bisect_left(excl, sym)
+                        for e in excl[lo:bisect_left(excl, sym + _BLOCK_WIDTH, lo)]:
+                            block[e - sym] = 0
+                    for freq in block:
+                        if rem < freq:
+                            break
+                        rem -= freq
+                        sym += 1
+                    cum = v - rem
+                code -= r * cum
+                rng = r * freq
+            else:  # the escape, the last slot
+                code -= r * avail
+                rng -= r * avail
+            while rng < TOP:
+                code = ((code << 8) | (data[pos] if pos < end else 0)) & MASK32
+                pos += 1
+                rng <<= 8
+            if v < avail:
+                break
+            excl = syms
+        else:
+            total = _NUM_MINUS1 - len(excl)
+            r = rng // total
+            v = code // r
+            if v >= total:
+                v = total - 1
+            code -= r * v
+            rng = r if v + 1 < total else rng - r * v
+            while rng < TOP:
+                code = ((code << 8) | (data[pos] if pos < end else 0)) & MASK32
+                pos += 1
+                rng <<= 8
+            sym = v
+            for e in excl:
+                if e <= sym:
+                    sym += 1
+        if sym != EOS:
+            update(None, None, sym)
+        yield sym
 
 
 def ppm_encode(data):
     """Compress octets with an order-ORDER context model."""
-    model = ContextModel(ORDER)
-    enc = RangeEncoder()
-    update = model.update
-    for sym in data:
-        _encode_symbol(enc, model.contexts, sym)
-        update(None, None, sym)
-    _encode_symbol(enc, model.contexts, EOS)
-    return enc.finish()
+    return _encode(ContextModel(ORDER), data)
 
 
 def ppm_decode(payload, original_len):
-    """Inverse of ppm_encode; stops at the declared length, then requires EOS."""
-    model = ContextModel(ORDER)
-    dec = RangeDecoder(payload)
-    update = model.update
-    out = bytearray()
-    for _ in range(original_len):
-        sym = _decode_symbol(dec, model.contexts)
-        if sym == EOS:
-            raise CorruptStream("PPM stream ended short of declared length")
-        out.append(sym)
-        update(None, None, sym)
-    if _decode_symbol(dec, model.contexts) != EOS:
+    """Inverse of ppm_encode; stops at the declared length or at an earlier
+    EOS, whichever comes first, then requires EOS."""
+    symbols = _decoded(ContextModel(ORDER), RangeDecoder(payload))
+    out = bytes(islice(iter(symbols.__next__, EOS), original_len))
+    if len(out) < original_len:
+        raise CorruptStream("PPM stream ended short of declared length")
+    if next(symbols) != EOS:
         raise CorruptStream("PPM stream overruns declared length")
-    return bytes(out)
+    return out

@@ -6,7 +6,9 @@ out of `low` into the octets already written, so `low` never needs more
 than 33 bits.  Three symbol interfaces are exposed:
 
 * frequency coding against an explicit (cumulative, frequency, total)
-  triple, for the adaptive byte models;
+  triple, for the adaptive byte models; only the encoder has it, as
+  encode(), since every frequency decoder takes the registers over (see
+  Registers below);
 * adaptive binary decisions against 11-bit probability cells, for the
   LZ token coder;
 * direct bits at probability one half, for match-offset tails.
@@ -21,14 +23,16 @@ A decoder reading past the end of its buffer sees zero octets, which lets
 an encoder trim trailing zeros without changing the decoded stream.
 
 Registers: encode_bit, encode_tree, decode_bit and decode_tree keep
-`range`, `low` and `code` in locals for the length of one call; encode
-and decode_update keep only `range` there.  Octets go out through
-_shift_low and come in through _byte.  The one exception is
-arith.AdaptiveModel.decoded (AC and BWT), which takes a decoder's
-registers, buffer and position over for a whole stream, leaving the
-decoder spent, reads octets with the same end-of-buffer rule and divides
-once per symbol.  PPM decodes through decode_freq and decode_update,
-which divide once each.
+`range`, `low` and `code` in locals for the length of one call; encode,
+which AC and BWT send call once per symbol, keeps only `range` there.
+Octets go out through _shift_low and come in through _byte.  The
+frequency decoders, arith.AdaptiveModel.decoded (AC and BWT receive)
+and the PPM decoder, take a decoder's registers, buffer and position
+over for a whole stream, leaving the decoder spent, and read octets
+with the same end-of-buffer rule.  The PPM encoder likewise keeps `low`,
+`range` and the output buffer in locals for a whole stream and writes
+them back before finish().  Each of these divides once per coding step.
+A carry goes through carry(), which _shift_low calls too.
 """
 
 TOP = 1 << 24
@@ -38,6 +42,20 @@ PROB_BITS = 11
 PROB_ONE = 1 << PROB_BITS
 PROB_INIT = PROB_ONE // 2
 PROB_MOVE = 5
+
+
+def carry(out):
+    """Add the carry out of `low` into the octets written so far.
+
+    Call it only when `low` > MASK32, before shifting `low`'s top octet
+    out.  Written 0xFF octets turn to 0x00 and pass the carry on; the
+    leading zero octet every encoder starts with stops it.
+    """
+    i = len(out) - 1
+    while out[i] == 0xFF:
+        out[i] = 0
+        i -= 1
+    out[i] += 1
 
 
 class RangeEncoder:
@@ -52,11 +70,7 @@ class RangeEncoder:
         low = self.low
         out = self._out
         if low > MASK32:
-            i = len(out) - 1
-            while out[i] == 0xFF:
-                out[i] = 0
-                i -= 1
-            out[i] += 1
+            carry(out)
         out.append((low >> 24) & 0xFF)
         self.low = (low << 8) & MASK32
 
@@ -161,30 +175,6 @@ class RangeDecoder:
             self._pos = pos + 1
             return self._data[pos]
         return 0
-
-    def decode_freq(self, total):
-        """Return the cumulative-frequency slot the stream points at."""
-        v = self.code // (self.range // total)
-        return total - 1 if v >= total else v
-
-    def decode_update(self, cum, freq, total):
-        """Commit the symbol at [cum, cum+freq) out of `total`, as encode
-        does; like encode, raises ValueError for an empty slot or one that
-        ends past `total`."""
-        r = self.range // total
-        self.code -= r * cum
-        if cum + freq < total:
-            rng = r * freq
-        else:
-            if cum + freq > total or not freq:
-                raise ValueError(f"slot [{cum}, {cum + freq}) of total {total} is empty or ends past it")
-            rng = self.range - r * cum
-        while rng < TOP:
-            if not rng:
-                raise ValueError(f"slot [{cum}, {cum + freq}) of total {total} is empty")
-            self.code = ((self.code << 8) | self._byte()) & MASK32
-            rng <<= 8
-        self.range = rng
 
     def decode_bit(self, probs, index):
         p = probs[index]

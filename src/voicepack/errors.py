@@ -27,11 +27,11 @@ class NonExtAsciiCodePoint(VoicepackError):
 
 
 class MissingSegment(VoicepackError):
-    """Bundle reassembly found gaps in the sequence numbers."""
+    """Bundle reassembly found gaps in the sequence numbers, or no segment."""
 
-    def __init__(self, missing):
+    def __init__(self, missing, message=None):
         self.missing = sorted(missing)
-        super().__init__(f"missing segment(s): {self.missing}")
+        super().__init__(message or f"missing segment(s): {self.missing}")
 
 
 class MixedReference(VoicepackError):

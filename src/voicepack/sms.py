@@ -95,7 +95,7 @@ def reassemble(segments):
     bodies; conflicting duplicates and cross-message mixtures are errors.
     """
     if not segments:
-        raise MissingSegment(range(0))
+        raise MissingSegment((), "no segments to reassemble")
     keys = {(s.reference, s.total) for s in segments}
     if len(keys) > 1:
         raise MixedReference(f"segments from {len(keys)} different messages")

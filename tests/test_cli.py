@@ -127,6 +127,28 @@ def test_receive_missing_segment_exit_2(tmp_path, capsys):
     assert "MissingSegment" in capsys.readouterr().err
 
 
+def test_receive_with_no_segment_names_reference_and_inbox(tmp_path, capsys):
+    src = tmp_path / "msg.bin"
+    src.write_bytes(b"voice payload")
+    root = tmp_path / "t"
+    assert run_cli(["send", "--in", str(src), "--root", str(root), "--ref", "3"]) == 0
+    for f in (root / "outbox").iterdir():
+        shutil.move(str(f), root / "inbox" / f.name)
+    capsys.readouterr()
+
+    def receive(ref):
+        code = run_cli(["receive", "--root", str(root), "--ref", ref,
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"voicepack: MissingSegment: no segment with reference {ref} in {root / 'inbox'}\n")
+        assert not (tmp_path / "out").exists()
+
+    receive("4")  # the inbox holds only another message's segments
+    shutil.rmtree(root / "inbox")
+    receive("3")  # no inbox at all
+
+
 @pytest.mark.parametrize("ref", ["300", "-1"])
 def test_reference_out_of_range_usage_error(tmp_path, capsys, ref):
     src = tmp_path / "msg.bin"

@@ -9,8 +9,8 @@ import pytest
 from voicepack import codecs
 from voicepack.codecs.lzw import encode_payload as lzw_payload
 from voicepack.codecs.ppm import (
-    EOS, ORDER, ContextModel, _Ctx, _decode_symbol, _encode_symbol, ppm_decode, ppm_encode)
-from voicepack.codecs.rangecoder import RangeEncoder
+    EOS, ORDER, ContextModel, _Ctx, _decoded, _encode, ppm_decode, ppm_encode)
+from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
 from voicepack.errors import CorruptStream
 
 
@@ -27,10 +27,10 @@ def entry(model, kid, depth):
         return kid
     kids = None if depth == model.order else []
     if kid == len(model.past):
-        return SimpleNamespace(syms=[], cnts=[], total=0, kids=kids)
+        return SimpleNamespace(syms=[], cnts=[], total=0, kids=kids, blocks=None)
     if kids is not None:
         kids.append(kid + 1)
-    return SimpleNamespace(syms=[model.past[kid]], cnts=[1], total=1, kids=kids)
+    return SimpleNamespace(syms=[model.past[kid]], cnts=[1], total=1, kids=kids, blocks=None)
 
 
 def child(model, context):
@@ -210,14 +210,18 @@ def test_roundtrip_skewed_random():
 
 
 def coded_at(data, order):
-    """ppm_encode's coding loop over a context model of any order."""
-    model = ContextModel(order)
-    enc = RangeEncoder()
-    for sym in data:
-        _encode_symbol(enc, model.contexts, sym)
-        model.update(None, None, sym)
-    _encode_symbol(enc, model.contexts, EOS)
-    return enc.finish()
+    """ppm_encode's coder over a context model of any order."""
+    return _encode(ContextModel(order), data)
+
+
+def pairs16_input():
+    """8,192 octets: every pair (a, b), a < 16: 16 full order-1 contexts."""
+    return bytes(x for a in range(16) for b in range(256) for x in (a, b))
+
+
+def root_halving_input():
+    """70,000 uniform octets: the full order-0 context halves its counts."""
+    return random.Random(11).randbytes(70_000)
 
 
 # Every input is pinned at ORDER, the one order streams are coded with.
@@ -236,24 +240,12 @@ def coded_at(data, order):
     (halving_input, 3, "6df87444c2ac09726d9d7d0e3a228135f743f11ac88c681214bee99a48601bb5"),
     (random_input, 3, "5a78309d70b5f345e66776ecd2b643b6a6fc83e692d69b170fcbe14246ab052e"),
     (amr_input, 3, "8c6fcbe6585758ecdec7b730e3be67a99280902e035e7676f2770767bab06c5a"),
+    (pairs16_input, 3, "0ba9454cb46f7dae8f9091e833db7e980b27e7459c0e372a47db14eca32fd08f"),
+    (root_halving_input, 3, "816adb8497bb8fd98831819e90cebc06e1d4ea877a4d4d6b05e44b98840a8bc5"),
 ])
 def test_payload_digests_pinned(make_data, order, digest):
     payload = ppm_encode(make_data()) if order == ORDER else coded_at(make_data(), order)
     assert hashlib.sha256(payload).hexdigest() == digest
-
-
-class ScriptedDecoder:
-    """Hands `_decode_symbol` chosen slots and records what it commits."""
-
-    def __init__(self, slots):
-        self.slots = list(slots)
-        self.updates = []
-
-    def decode_freq(self, total):
-        return self.slots.pop(0)
-
-    def decode_update(self, cum, freq, total):
-        self.updates.append((cum, freq, total))
 
 
 def masked_slots(ctx, excl):
@@ -266,29 +258,79 @@ def masked_slots(ctx, excl):
     return slots, cum
 
 
-def check_decode_slots(ctx, higher=None):
-    """Decode each interesting slot of `ctx`, after an escape from `higher`,
-    and compare (symbol, cum, freq, total) with the brute-force oracle.
+def oracle_triples(contexts, sym):
+    """Oracle: the (cum, freq, total) triples that code `sym` in `contexts`
+    (shortest first), from masked_slots: each context from the longest
+    down that has a symbol left, escaping until one holds `sym`, then
+    order -1 over the symbols no escaped context holds."""
+    triples, excl = [], set()
+    for ctx in reversed(contexts):
+        if not set(ctx.syms) - excl:
+            continue
+        slots, avail = masked_slots(ctx, excl)
+        total = avail + len(ctx.syms)
+        hit = [(cum, freq) for s, cum, freq in slots if s == sym]
+        if hit:
+            return triples + [(*hit[0], total)]
+        triples.append((avail, len(ctx.syms), total))
+        excl = set(ctx.syms)
+    left = [s for s in range(EOS + 1) if s not in excl]
+    return triples + [(left.index(sym), 1, len(left))]
 
-    The slots are the first and last of each symbol, so every 32-symbol
-    chunk boundary too, and the escape slot, which the order -1 step
-    follows."""
+
+def coded(triples):
+    """A test-local encoder: the stream of `triples` through RangeEncoder.encode."""
+    enc = RangeEncoder()
+    for triple in triples:
+        enc.encode(*triple)
+    return enc.finish()
+
+
+def oracle_stream(data, order):
+    """The stream ppm_encode's coder must write for `data`, from the oracle."""
+    model = ContextModel(order)
+    triples = []
+    for sym in data:
+        triples += oracle_triples(model.contexts, sym)
+        model.update(None, None, sym)
+    return coded(triples + oracle_triples(model.contexts, EOS))
+
+
+def fixed(contexts):
+    """A stand-in model whose active contexts stay `contexts`."""
+    return SimpleNamespace(contexts=contexts, update=lambda hist, depth, sym: None)
+
+
+def decode_first(contexts, triples):
+    """The first symbol the PPM decoder reads, in `contexts`, from the
+    stream of `triples`."""
+    return next(_decoded(fixed(contexts), RangeDecoder(coded(triples))))
+
+
+def check_decode_slots(ctx, higher=None):
+    """Decode the first and last slot of each symbol of `ctx`, after an
+    escape from `higher`, and compare the symbol with the oracle's.
+
+    Each tested slot is coded as a one-slot triple after the true triples
+    of the steps before it, so the decoder reads exactly that slot: the
+    first and last of every symbol, so of every block and chunk too; the
+    escape's first and last slot; and order -1's first slot and the top of
+    its last slot, which takes the range's remainder."""
+    contexts = [ctx, higher] if higher else [ctx]
     excl = set(higher.syms) if higher else set()
+    prefix = [(higher.total, len(excl), higher.total + len(excl))] if higher else []
     slots, avail = masked_slots(ctx, excl)
     esc = len(ctx.syms)
     total = avail + esc
-    edges = {cum for _, cum, _ in slots} | {avail}
-    prefix = [higher.total] if higher else []  # higher's escape slot
-    for v in sorted((edges | {b - 1 for b in edges if b}) - {avail}):
-        dec = ScriptedDecoder(prefix + [v])
-        got = _decode_symbol(dec, [ctx, higher] if higher else [ctx])
-        sym, cum, freq = next(s for s in slots if s[1] <= v < s[1] + s[2])
-        assert (got, dec.updates[-1]) == (sym, (cum, freq, total)), v
-    # slot 0 of order -1 is the least symbol no context holds
-    dec = ScriptedDecoder(prefix + [avail, 0])
-    got = _decode_symbol(dec, [ctx, higher] if higher else [ctx])
-    assert dec.updates[len(prefix)] == (avail, esc, total)
-    assert got == min(set(range(EOS + 1)) - set(ctx.syms))
+    for sym, cum, freq in slots:
+        for v in {cum, cum + freq - 1} if freq else ():
+            assert decode_first(contexts, prefix + [(v, 1, total)]) == sym, v
+    escape = prefix + [(avail, esc, total)]
+    left = [s for s in range(EOS + 1) if s not in ctx.syms]
+    top = [(len(left) - 1, 1, len(left))] + [(255, 1, 256)] * 4
+    assert decode_first(contexts, escape + [(0, 1, len(left))]) == left[0]
+    assert decode_first(contexts, escape + top) == left[-1]
+    assert decode_first(contexts, prefix + [(total - 1, 1, total)]) in left
 
 
 @pytest.mark.parametrize("alphabet", [1, 2, 8])
@@ -312,57 +354,34 @@ def order1_model(alphabet):
 
 @pytest.mark.parametrize("alphabet", [64, 65, 100, 256])
 def test_decode_slots_match_masked_cumulative_counts(alphabet):
+    # 64: a small context; 65 and 100: chunk sums; 256: block sums
     model = order1_model(alphabet)
+    assert (model.root.blocks is None) == (alphabet < 256)
     check_decode_slots(model.root)
     for octet in (0, alphabet // 2, alphabet - 1):
         check_decode_slots(model.root, child(model, [octet]))
-
-
-class ScriptedEncoder:
-    """Records the (cum, freq, total) triples `_encode_symbol` codes."""
-
-    def __init__(self):
-        self.triples = []
-
-    def encode(self, cum, freq, total):
-        self.triples.append((cum, freq, total))
 
 
 @pytest.mark.parametrize("alphabet", [64, 65, 100, 256])
 def test_encode_slots_match_masked_cumulative_counts(alphabet):
     # every octet and EOS, coded in the order-0 context after an escape
     # from an order-1 one: hits below, between and above the excluded
-    # symbols, escapes to order -1, and hits in the higher context
+    # symbols, escapes to order -1, and hits in the higher context; each
+    # is followed by EOS, whose coding depends on the range the symbol left
     model = order1_model(alphabet)
-    ctx = model.root
     for octet in (0, alphabet // 2, alphabet - 1):
-        higher = child(model, [octet])
-        excl = set(higher.syms)
-        assert 0 < len(excl) < alphabet
-        top, _ = masked_slots(higher, set())
-        slots, avail = masked_slots(ctx, excl)
-        esc = len(ctx.syms)
-        for sym in range(EOS + 1):
-            enc = ScriptedEncoder()
-            _encode_symbol(enc, [ctx, higher], sym)
-            if sym in excl:
-                _, cum, freq = next(s for s in top if s[0] == sym)
-                assert enc.triples == [(cum, freq, higher.total + len(excl))]
-                continue
-            want = [(higher.total, len(excl), higher.total + len(excl))]
-            hit = [s for s in slots if s[0] == sym]
-            if hit:
-                _, cum, freq = hit[0]
-                want.append((cum, freq, avail + esc))
-            else:
-                below = sum(1 for s in ctx.syms if s < sym)
-                want += [(avail, esc, avail + esc), (sym - below, 1, EOS + 1 - esc)]
-            assert enc.triples == want, sym
+        contexts = [model.root, child(model, [octet])]
+        assert 0 < len(contexts[1].syms) < alphabet
+        end = oracle_triples(contexts, EOS)
+        assert _encode(fixed(contexts), b"") == coded(end)
+        for sym in range(EOS):
+            want = oracle_triples(contexts, sym) + end
+            assert _encode(fixed(contexts), bytes([sym])) == coded(want), sym
 
 
 def test_decode_slots_skip_an_all_excluded_chunk():
     # after 0xFF come exactly the octets 32..63: escaping from that context
-    # zeroes the whole second chunk of the full order-0 context
+    # zeroes two whole blocks of the full order-0 context
     rng = random.Random(12)
     data = bytes(rng.randrange(255) for _ in range(3000))
     data += b"".join(bytes([0xFF, s]) for s in range(32, 64))
@@ -371,6 +390,49 @@ def test_decode_slots_skip_an_all_excluded_chunk():
     higher = child(model, [0xFF])
     assert len(model.root.syms) == 256 and higher.syms == list(range(32, 64))
     check_decode_slots(model.root, higher)
+
+
+@pytest.mark.parametrize("make_data, order", [
+    (skewed_input, 2), (amr_input, 3), (abracadabra_input, 5), (pairs16_input, 3)])
+def test_coders_match_the_oracle_stream(make_data, order):
+    # whole streams: every symbol's triple, and so every count and exclusion
+    # the coders read, on both sides
+    data = make_data()
+    stream = oracle_stream(data, order)
+    assert coded_at(data, order) == stream
+    symbols = _decoded(ContextModel(order), RangeDecoder(stream))
+    assert list(itertools.islice(symbols, len(data) + 1)) == [*data, EOS]
+
+
+def test_pinned_inputs_reach_the_full_context_paths():
+    # pairs16_input fills order-1 contexts and codes hits in them with
+    # exclusions; root_halving_input halves a full context's counts, so
+    # its block sums are rebuilt.  No other pin does either.
+    data = pairs16_input()
+    model = ContextModel(3)
+    hits = 0
+    for sym in data:
+        contexts = model.contexts
+        coder = next((k for k in range(len(contexts) - 1, -1, -1)
+                      if sym in contexts[k].syms), None)
+        if coder == 1 and len(contexts[1].syms) == 256 and any(c.syms for c in contexts[2:]):
+            hits += 1
+        model.update(None, None, sym)
+    assert sum(not isinstance(kid, int) and len(kid.syms) == 256
+               for kid in model.root.kids) == 16
+    assert hits == 120
+    data = root_halving_input()
+    model = ContextModel(3)
+    halvings = 0
+    for sym in data:
+        total = model.root.total
+        model.update(None, None, sym)
+        halvings += model.root.total < total
+    root = model.root
+    assert (halvings, root.total, len(root.syms)) == (1, 37_298, 256)
+    assert root.blocks == [sum(root.cnts[i:i + 16]) for i in range(0, 256, 16)]
+    for data in (pairs16_input(), root_halving_input()):
+        assert ppm_decode(ppm_encode(data), len(data)) == data
 
 
 def test_order_5_differs_from_order_4():

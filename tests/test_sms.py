@@ -97,6 +97,12 @@ def test_reassemble_missing_segment():
     assert info.value.missing == [2]
 
 
+def test_reassemble_nothing_says_so():
+    with pytest.raises(MissingSegment, match="^no segments to reassemble$") as info:
+        reassemble([])
+    assert info.value.missing == []
+
+
 def test_reassemble_mixed_reference():
     a = segment(bytes(300), 1)
     b = segment(bytes(300), 2)
