@@ -11,7 +11,9 @@ per block of BLOCK_WIDTH = 16 consecutive symbols.  The octet and BWT
 token alphabets have 257 symbols, so there are 17 blocks (the last holds
 only symbol 256): a lookup adds at most 16 block sums and 15 counts, and
 an update changes one count and one block sum, where a cumulative-frequency
-tree over 257 symbols would walk up to 9 nodes per update.
+tree over 257 symbols would walk up to 9 nodes per update.  PPM's
+contexts that hold all 256 octets keep their block sums by the same rule,
+block_sums, with the same BLOCK_WIDTH.
 
 Encoding goes one symbol per call through RangeEncoder.encode.  Decoding
 runs as one generator per stream, AdaptiveModel.decoded, which takes over
@@ -19,7 +21,8 @@ the range decoder's registers, buffer and read position as locals, so the
 RangeDecoder is spent once the generator starts.  It divides once per
 symbol (Moffat, Neal & Witten, "Arithmetic coding revisited", ACM TOIS
 1998): r = range // total gives both the slot, code // r, and the
-narrowed range.
+narrowed range.  read_to_eos states the stream's ending, the declared
+length and then EOS, for AC and PPM alike.
 """
 
 from itertools import islice
@@ -33,6 +36,11 @@ MAX_TOTAL = 1 << 16
 
 BLOCK_SHIFT = 4
 BLOCK_WIDTH = 1 << BLOCK_SHIFT
+
+
+def block_sums(counts):
+    """The sum of each block of BLOCK_WIDTH counts; the last may be partial."""
+    return [sum(counts[i:i + BLOCK_WIDTH]) for i in range(0, len(counts), BLOCK_WIDTH)]
 
 
 class AdaptiveModel:
@@ -50,8 +58,7 @@ class AdaptiveModel:
     def _set_counts(self, counts):
         self.counts = counts
         self.total = sum(counts)
-        self._blocks = [sum(counts[i:i + BLOCK_WIDTH])
-                        for i in range(0, len(counts), BLOCK_WIDTH)]
+        self._blocks = block_sums(counts)
 
     def encode(self, enc, s):
         counts = self.counts
@@ -134,13 +141,20 @@ def ac_encode(data):
     return enc.finish()
 
 
+def read_to_eos(symbols, original_len, name):
+    """The octets that the endless iterator `symbols` yields before EOS, at
+    most `original_len` of them; the stream must then yield EOS.  `name`
+    names the stream in the CorruptStream messages."""
+    out = bytes(islice(iter(symbols.__next__, EOS), original_len))
+    if len(out) < original_len:
+        raise CorruptStream(f"{name} stream ended short of declared length")
+    if next(symbols) != EOS:
+        raise CorruptStream(f"{name} stream overruns declared length")
+    return out
+
+
 def ac_decode(payload, original_len):
     """Inverse of ac_encode; stops at the declared length or at an earlier
     EOS, whichever comes first, then requires EOS."""
-    symbols = AdaptiveModel(257).decoded(RangeDecoder(payload))
-    out = bytes(islice(iter(symbols.__next__, EOS), original_len))
-    if len(out) < original_len:
-        raise CorruptStream("arithmetic stream ended short of declared length")
-    if next(symbols) != EOS:
-        raise CorruptStream("arithmetic stream overruns declared length")
-    return out
+    return read_to_eos(AdaptiveModel(257).decoded(RangeDecoder(payload)),
+                       original_len, "arithmetic")

@@ -40,26 +40,30 @@ at most 256, so total < 2**16, and range >= TOP = 2**24 gives
 r >= 2**24 // 2**16 = 256.  Every slot then narrows the range to at
 least 256, and each renormalization loop ends.
 
-The encoder copies no counts: it subtracts each excluded count from the
-context's total, and from the symbol's cumulative count when the
-excluded symbol sorts below it.  The decoder codes a context with
-nothing excluded from its own counts.  It finds the decoded slot with
-one running-sum scan.  In a context of more than 64 symbols the scan
-covers one chunk of 32 counts: running sums above 256 are fresh int
-objects, and accumulating every count of a large context costs more
-than the rest of the symbol's decoding.  So the decoder first skips
-whole chunks by their sums until the sum passes the decoded slot; with
-symbols excluded it works on a copy of the counts with the excluded
-entries zeroed, and an all-excluded chunk sums to 0 and is skipped.
-
 A context holding all 256 octets keeps one more list: the sum of each
-block of 16 counts, set when its 256th symbol is inserted, raised with
-the symbol's count and rebuilt when the counts halve.  The encoder's
-cumulative count there is the sum of the earlier blocks plus at most 15
-counts.  The decoder copies the 16 sums, subtracts each excluded count
-from the total and from its block's sum, walks the sums to the block
-holding the slot, and scans that one block with its excluded counts
-zeroed: it neither copies 256 counts nor re-sums them per symbol.
+block of BLOCK_WIDTH = 16 counts, by arith.block_sums, the rule of the
+AC model.  It is set when the 256th symbol is inserted, raised with the
+symbol's count and rebuilt when the counts halve.  The encoder copies no
+counts: it subtracts each excluded count from the context's total, and
+from the symbol's cumulative count when the excluded symbol sorts below
+it; in a full context that count is the sum of the earlier blocks plus
+at most 15 counts.
+
+The decoder finds the decoded slot v with one scan: starting from
+rem = v at some index, it subtracts each count from rem until a count
+exceeds what is left, and the index it stops at is the symbol's.  The
+context's size decides only where the scan starts.  Up to _SMALL = 64
+symbols it covers the whole count list, or a copy with the excluded
+counts zeroed.  From 65 to 255 symbols it first skips whole blocks of 16
+counts by their sums, taken on the fly from that list, and scans one
+block: sums above 256 are fresh int objects, and accumulating every
+count of a large context costs more than the rest of the symbol's
+decoding.  A full context walks its stored block sums, copied with each
+excluded count subtracted from its block's, and scans one block with its
+excluded counts zeroed, so it neither copies 256 counts nor re-sums them
+per symbol.  An all-excluded block sums to 0 and is skipped.  The counts
+left sum to avail > v, so the walk and the scan each break inside their
+lists.
 
 Counts rescale by halving (floor, minimum 1) once a context's total
 approaches the coder's precision limit.
@@ -85,24 +89,16 @@ become nodes.
 """
 
 from bisect import bisect_left
-from itertools import chain, islice
+from itertools import chain
 
+from voicepack.codecs.arith import BLOCK_SHIFT, BLOCK_WIDTH, EOS, block_sums, read_to_eos
 from voicepack.codecs.rangecoder import MASK32, TOP, RangeDecoder, RangeEncoder, carry
-from voicepack.errors import CorruptStream
 
 ORDER = 3
-EOS = 256
 _NUM_MINUS1 = 257
 _FULL = 256  # a context holding every octet: its symbol list is range(256)
-_BLOCK_SHIFT = 4  # a full context sums its counts in blocks of 16 octets
-_BLOCK_WIDTH = 1 << _BLOCK_SHIFT
 _SMALL = 64  # the decoder scans contexts of up to this many symbols whole
-_CHUNK = 32
 _RESCALE_AT = (1 << 16) - 257
-
-
-def _block_sums(cnts):
-    return [sum(cnts[i:i + _BLOCK_WIDTH]) for i in range(0, _FULL, _BLOCK_WIDTH)]
 
 
 class _Ctx:
@@ -156,7 +152,7 @@ class ContextModel:
             blocks = ctx.blocks
             if blocks is not None:  # every octet is here, at its own index
                 idx = sym
-                blocks[sym >> _BLOCK_SHIFT] += 1
+                blocks[sym >> BLOCK_SHIFT] += 1
             else:
                 idx = bisect_left(syms, sym)
             if idx < len(syms) and syms[idx] == sym:
@@ -176,14 +172,14 @@ class ContextModel:
                 if kids is not None:
                     kids.insert(idx, at)
                 if len(syms) == _FULL:
-                    ctx.blocks = _block_sums(ctx.cnts)
+                    ctx.blocks = block_sums(ctx.cnts)
             ctx.total += 1
             if ctx.total >= _RESCALE_AT:
                 cnts = [max(1, c >> 1) for c in ctx.cnts]
                 ctx.cnts = cnts
                 ctx.total = sum(cnts)
                 if ctx.blocks is not None:
-                    ctx.blocks = _block_sums(cnts)
+                    ctx.blocks = block_sums(cnts)
         self.contexts = nxt
 
 
@@ -220,8 +216,8 @@ def _encode(model, data):
             else:  # every octet is at its own index; only EOS escapes
                 hit = sym != EOS
                 if hit:
-                    b = sym >> _BLOCK_SHIFT
-                    cum = sum(blocks[:b]) + sum(cnts[b << _BLOCK_SHIFT:sym]) - below
+                    b = sym >> BLOCK_SHIFT
+                    cum = sum(blocks[:b]) + sum(cnts[b << BLOCK_SHIFT:sym]) - below
                     freq = cnts[sym]
             r = rng // (avail + esc)
             if hit:
@@ -295,47 +291,39 @@ def _decoded(model, dec):
                     for e in excl:
                         c = cnts[e]
                         avail -= c
-                        blocks[e >> _BLOCK_SHIFT] -= c
+                        blocks[e >> BLOCK_SHIFT] -= c
             r = rng // (avail + esc)
             v = code // r
             if v < avail:
-                # the counts left sum to avail > v: each walk and scan stops in its list
-                if blocks is None:
-                    cum = idx = 0
-                    chunk = cnts
-                    if esc > _SMALL:
-                        top = sum(cnts[:_CHUNK])
-                        while top <= v:
-                            idx += _CHUNK
-                            cum = top
-                            top += sum(cnts[idx:idx + _CHUNK])
-                        chunk = cnts[idx:idx + _CHUNK]
-                    for c in chunk:
-                        if v < cum + c:
-                            break
-                        cum += c
-                        idx += 1
-                    freq = cnts[idx]
-                    sym = syms[idx]
+                # the counts left sum to avail > v: the walk and the scan stop in their lists
+                rem = v
+                idx = 0
+                if esc <= _SMALL:
+                    block = cnts
+                elif blocks is None:
+                    top = sum(cnts[:BLOCK_WIDTH])
+                    while rem >= top:
+                        rem -= top
+                        idx += BLOCK_WIDTH
+                        top = sum(cnts[idx:idx + BLOCK_WIDTH])
+                    block = cnts[idx:idx + BLOCK_WIDTH]
                 else:
-                    rem = v
-                    b = 0
-                    while rem >= blocks[b]:
-                        rem -= blocks[b]
-                        b += 1
-                    sym = b << _BLOCK_SHIFT
-                    block = cnts[sym:sym + _BLOCK_WIDTH]
+                    while rem >= blocks[idx]:
+                        rem -= blocks[idx]
+                        idx += 1
+                    idx <<= BLOCK_SHIFT
+                    block = cnts[idx:idx + BLOCK_WIDTH]
                     if excl:
-                        lo = bisect_left(excl, sym)
-                        for e in excl[lo:bisect_left(excl, sym + _BLOCK_WIDTH, lo)]:
-                            block[e - sym] = 0
-                    for freq in block:
-                        if rem < freq:
-                            break
-                        rem -= freq
-                        sym += 1
-                    cum = v - rem
-                code -= r * cum
+                        lo = bisect_left(excl, idx)
+                        for e in excl[lo:bisect_left(excl, idx + BLOCK_WIDTH, lo)]:
+                            block[e - idx] = 0
+                for freq in block:
+                    if rem < freq:
+                        break
+                    rem -= freq
+                    idx += 1
+                sym = syms[idx]
+                code -= r * (v - rem)
                 rng = r * freq
             else:  # the escape, the last slot
                 code -= r * avail
@@ -376,10 +364,5 @@ def ppm_encode(data):
 def ppm_decode(payload, original_len):
     """Inverse of ppm_encode; stops at the declared length or at an earlier
     EOS, whichever comes first, then requires EOS."""
-    symbols = _decoded(ContextModel(ORDER), RangeDecoder(payload))
-    out = bytes(islice(iter(symbols.__next__, EOS), original_len))
-    if len(out) < original_len:
-        raise CorruptStream("PPM stream ended short of declared length")
-    if next(symbols) != EOS:
-        raise CorruptStream("PPM stream overruns declared length")
-    return out
+    return read_to_eos(_decoded(ContextModel(ORDER), RangeDecoder(payload)),
+                       original_len, "PPM")

@@ -1,10 +1,42 @@
-"""Shared fixtures: payload generators and one benchmark run per session."""
+"""Shared fixtures: payload generators, one benchmark run per session and
+a time limit on every test."""
 
 import random
+import signal
 
 import pytest
 
 from voicepack import bench
+
+# A coder bug can loop forever (a slot of frequency 0 leaves a range of 0,
+# which no renormalization raises).  The limit turns such a hang into a
+# failed test; the slowest test, acceptance criterion 1, takes about 10 s
+# on 2 cores and has its own 60 s bound.
+TEST_TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that runs past TEST_TIME_LIMIT_S.  A BaseException,
+    so that no `except Exception` (nor `except OSError`, as TimeoutError
+    would be) in the code under test swallows it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def make_payload(rng, n, kind):

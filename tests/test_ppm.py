@@ -313,7 +313,7 @@ def check_decode_slots(ctx, higher=None):
 
     Each tested slot is coded as a one-slot triple after the true triples
     of the steps before it, so the decoder reads exactly that slot: the
-    first and last of every symbol, so of every block and chunk too; the
+    first and last of every symbol, so of every block too; the
     escape's first and last slot; and order -1's first slot and the top of
     its last slot, which takes the range's remainder."""
     contexts = [ctx, higher] if higher else [ctx]
@@ -354,7 +354,7 @@ def order1_model(alphabet):
 
 @pytest.mark.parametrize("alphabet", [64, 65, 100, 256])
 def test_decode_slots_match_masked_cumulative_counts(alphabet):
-    # 64: a small context; 65 and 100: chunk sums; 256: block sums
+    # 64: a small context; 65 and 100: block sums on the fly; 256: stored sums
     model = order1_model(alphabet)
     assert (model.root.blocks is None) == (alphabet < 256)
     check_decode_slots(model.root)
@@ -379,16 +379,22 @@ def test_encode_slots_match_masked_cumulative_counts(alphabet):
             assert _encode(fixed(contexts), bytes([sym])) == coded(want), sym
 
 
-def test_decode_slots_skip_an_all_excluded_chunk():
-    # after 0xFF come exactly the octets 32..63: escaping from that context
-    # zeroes two whole blocks of the full order-0 context
+@pytest.mark.parametrize("alphabet, lo, width", [
+    (255, 32, 32), (100, 0, 16), (100, 32, 16), (100, 80, 16)])
+def test_decode_slots_skip_an_all_excluded_block(alphabet, lo, width):
+    # after 0xFF come exactly the octets lo..lo + width - 1: escaping from
+    # that context zeroes whole blocks of the order-0 context, two of the
+    # stored sums of a full one, or one block of a 101-symbol one, whose
+    # sums the decoder takes on the fly
     rng = random.Random(12)
-    data = bytes(rng.randrange(255) for _ in range(3000))
-    data += b"".join(bytes([0xFF, s]) for s in range(32, 64))
+    data = bytes(rng.randrange(alphabet) for _ in range(3000))
+    data += b"".join(bytes([0xFF, s]) for s in range(lo, lo + width))
     model = ContextModel(1)
     feed(model, data)
     higher = child(model, [0xFF])
-    assert len(model.root.syms) == 256 and higher.syms == list(range(32, 64))
+    assert len(model.root.syms) == alphabet + 1
+    assert (model.root.blocks is None) == (alphabet + 1 < 256)
+    assert higher.syms == list(range(lo, lo + width))
     check_decode_slots(model.root, higher)
 
 
