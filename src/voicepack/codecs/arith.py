@@ -16,18 +16,16 @@ contexts that hold all 256 octets keep their block sums by the same rule,
 block_sums, with the same BLOCK_WIDTH.
 
 Encoding goes one symbol per call through RangeEncoder.encode.  Decoding
-runs as one generator per stream, AdaptiveModel.decoded, which takes over
-the range decoder's registers, buffer and read position as locals, so the
-RangeDecoder is spent once the generator starts.  It divides once per
-symbol (Moffat, Neal & Witten, "Arithmetic coding revisited", ACM TOIS
-1998): r = range // total gives both the slot, code // r, and the
+runs as one generator per stream, AdaptiveModel.decoded, which keeps the
+range coder's registers and read position in locals and divides once per
+symbol: r = range // total gives both the slot, code // r, and the
 narrowed range.  read_to_eos states the stream's ending, the declared
 length and then EOS, for AC and PPM alike.
 """
 
 from itertools import islice
 
-from voicepack.codecs.rangecoder import MASK32, TOP, RangeDecoder, RangeEncoder
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, start
 from voicepack.errors import CorruptStream
 
 EOS = 256
@@ -75,19 +73,16 @@ class AdaptiveModel:
         else:
             self.total = total
 
-    def decoded(self, dec):
-        """Yield the symbols the stream of RangeDecoder `dec` codes, without end.
+    def decoded(self, data):
+        """Yield the symbols that the range-coded stream `data` codes,
+        without end.
 
-        The generator takes over `dec`'s range, code, buffer and position
-        when it starts and keeps them in locals, so `dec` is spent from
-        then on: nothing else may decode from it.  `counts`, `_blocks` and
-        `total` are current at every yield.  Past the end of the buffer it
-        reads zero octets, as RangeDecoder._byte does.
+        `counts`, `_blocks` and `total` are current at every yield.  Past
+        the end of `data` it reads zero octets.
         """
-        rng = dec.range
-        code = dec.code
-        data = dec._data
-        pos = dec._pos
+        rng = MASK32
+        code = start(data)
+        pos = 5
         end = len(data)
         counts = self.counts
         blocks = self._blocks
@@ -156,5 +151,5 @@ def read_to_eos(symbols, original_len, name):
 def ac_decode(payload, original_len):
     """Inverse of ac_encode; stops at the declared length or at an earlier
     EOS, whichever comes first, then requires EOS."""
-    return read_to_eos(AdaptiveModel(257).decoded(RangeDecoder(payload)),
+    return read_to_eos(AdaptiveModel(257).decoded(payload),
                        original_len, "arithmetic")

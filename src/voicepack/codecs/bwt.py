@@ -23,7 +23,7 @@ import struct
 from dataclasses import dataclass
 
 from voicepack.codecs.arith import AdaptiveModel
-from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
+from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
 
 BLOCK_SIZE = 65536
@@ -181,7 +181,7 @@ def decode_payload(payload, original_len):
         run = 0
         weight = 1
         # block_len >= 1, so the loop ends at the break or the raise
-        for t in AdaptiveModel(_TOKEN_ALPHABET).decoded(RangeDecoder(stream)):
+        for t in AdaptiveModel(_TOKEN_ALPHABET).decoded(stream):
             if t <= RUNB:
                 run += (t + 1) * weight
                 weight <<= 1

@@ -19,16 +19,13 @@ never seen.  End-of-stream is never counted, so a context holding all
 256 octets has the symbol list range(256): there each excluded symbol is
 its own index, found without bisection; elsewhere bisection finds it.
 
-Each stream is coded in one frame, as arith.AdaptiveModel.decoded does
-for AC and BWT: the encoder keeps the range coder's `low`, `range` and
-output buffer in locals for the whole stream, the decoder (a generator)
-takes over the decoder's range, code, buffer and read position, and
-each coding step divides once (Moffat, Neal & Witten, "Arithmetic
-coding revisited", ACM TOIS 1998): r = range // total gives the slot,
-code // r, and the narrowed range.  A symbol's slot always has the
-escape after it, so only the escape and the last order -1 slot take the
-range's remainder.  The encoder adds carries through
-rangecoder.carry, as RangeEncoder._shift_low does.
+Each stream is coded in one frame, by the rangecoder module's rule:
+the encoder keeps `low`, `range` and the output buffer in locals for the
+whole stream, the decoder (a generator) its range, code and read
+position, and each coding step divides once: r = range // total gives
+the slot, code // r, and the narrowed range.  A symbol's slot always
+has the escape after it, so only the escape and the last order -1 slot
+take the range's remainder.
 
 No slot is empty, so no coding step checks one.  Every count is at
 least 1 (halving keeps a minimum of 1) and excluded symbols are left out
@@ -92,7 +89,7 @@ from bisect import bisect_left
 from itertools import chain
 
 from voicepack.codecs.arith import BLOCK_SHIFT, BLOCK_WIDTH, EOS, block_sums, read_to_eos
-from voicepack.codecs.rangecoder import MASK32, TOP, RangeDecoder, RangeEncoder, carry
+from voicepack.codecs.rangecoder import MASK32, TOP, carry, finish, start
 
 ORDER = 3
 _NUM_MINUS1 = 257
@@ -186,10 +183,9 @@ class ContextModel:
 def _encode(model, data):
     """Code `data` and then EOS under `model`, counting each octet after it
     is coded; returns the finished stream."""
-    enc = RangeEncoder()
-    out = enc._out
-    low = enc.low
-    rng = enc.range
+    out = bytearray(1)
+    low = 0
+    rng = MASK32
     update = model.update
     for sym in chain(data, (EOS,)):
         excl = ()
@@ -249,24 +245,16 @@ def _encode(model, data):
                 rng <<= 8
         if sym != EOS:
             update(None, None, sym)
-    enc.low = low
-    enc.range = rng
-    return enc.finish()
+    return finish(out, low)
 
 
-def _decoded(model, dec):
-    """Yield the symbols the stream of RangeDecoder `dec` codes under
-    `model`, without end, counting each octet before it is yielded.
-
-    The generator takes over `dec`'s range, code, buffer and position
-    when it starts and keeps them in locals, so `dec` is spent from then
-    on.  Past the end of the buffer it reads zero octets, as
-    RangeDecoder._byte does.
-    """
-    rng = dec.range
-    code = dec.code
-    data = dec._data
-    pos = dec._pos
+def _decoded(model, data):
+    """Yield the symbols that the range-coded stream `data` codes under
+    `model`, without end, counting each octet before it is yielded.  Past
+    the end of `data` it reads zero octets."""
+    rng = MASK32
+    code = start(data)
+    pos = 5
     end = len(data)
     update = model.update
     while True:
@@ -364,5 +352,5 @@ def ppm_encode(data):
 def ppm_decode(payload, original_len):
     """Inverse of ppm_encode; stops at the declared length or at an earlier
     EOS, whichever comes first, then requires EOS."""
-    return read_to_eos(_decoded(ContextModel(ORDER), RangeDecoder(payload)),
+    return read_to_eos(_decoded(ContextModel(ORDER), payload),
                        original_len, "PPM")

@@ -1,5 +1,5 @@
 """Shared fixtures: payload generators, one benchmark run per session and
-a time limit on every test."""
+a time limit on every test, whose first breach stops the run."""
 
 import random
 import signal
@@ -19,6 +19,14 @@ class TimeLimitExceeded(BaseException):
     """Raised in a test that runs past TEST_TIME_LIMIT_S.  A BaseException,
     so that no `except Exception` (nor `except OSError`, as TimeoutError
     would be) in the code under test swallows it."""
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_makereport(item, call):
+    # A decoder bug tends to hang every test that decodes, and each would
+    # wait out the whole limit in turn: stop the run at the first.
+    if call.excinfo is not None and call.excinfo.errisinstance(TimeLimitExceeded):
+        item.session.shouldstop = f"{item.nodeid} ran past {TEST_TIME_LIMIT_S} s"
 
 
 @pytest.fixture(autouse=True)

@@ -13,7 +13,7 @@ from voicepack.codecs.arith import (
     ac_decode,
     ac_encode,
 )
-from voicepack.codecs.rangecoder import MASK32, RangeDecoder, RangeEncoder
+from voicepack.codecs.rangecoder import MASK32, RangeEncoder
 from voicepack.errors import CorruptStream
 
 
@@ -74,13 +74,10 @@ class _TripleRecorder:
         self.triples.append((cum, freq, total))
 
 
-def _decoder_at(slot, total):
-    """A RangeDecoder whose registers point at `slot` out of `total`."""
-    dec = RangeDecoder(b"")
-    r = MASK32 // total
-    dec.range = r * total
-    dec.code = slot * r
-    return dec
+def _payload_at(slot, total):
+    """A stream whose code register starts at `slot` out of `total`: its
+    octets 1-4 hold slot * (MASK32 // total)."""
+    return bytes(1) + (slot * (MASK32 // total)).to_bytes(4, "big")
 
 
 def _block_sums(counts):
@@ -110,7 +107,7 @@ def test_model_matches_naive_counts():
             recorder.triples.clear()
             # first or last slot of the symbol's interval
             slot = expect[0] + rng.choice((0, naive[s] - 1))
-            assert next(dec_model.decoded(_decoder_at(slot, expect[2]))) == s
+            assert next(dec_model.decoded(_payload_at(slot, expect[2]))) == s
             naive[s] += ADAPT_INCREMENT
             if sum(naive) > MAX_TOTAL:
                 naive = [max(1, c >> 1) for c in naive]
@@ -135,7 +132,7 @@ def test_decoder_model_is_current_at_every_yield():
     recorder = _TripleRecorder()
     model = AdaptiveModel(257)
     halvings = 0
-    for expect, s in zip(data, model.decoded(RangeDecoder(enc.finish()))):
+    for expect, s in zip(data, model.decoded(enc.finish())):
         assert s == expect
         halvings += mirror.total + ADAPT_INCREMENT > MAX_TOTAL
         mirror.encode(recorder, s)

@@ -10,7 +10,7 @@ from voicepack import codecs
 from voicepack.codecs.lzw import encode_payload as lzw_payload
 from voicepack.codecs.ppm import (
     EOS, ORDER, ContextModel, _Ctx, _decoded, _encode, ppm_decode, ppm_encode)
-from voicepack.codecs.rangecoder import RangeDecoder, RangeEncoder
+from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
 
 
@@ -304,7 +304,7 @@ def fixed(contexts):
 def decode_first(contexts, triples):
     """The first symbol the PPM decoder reads, in `contexts`, from the
     stream of `triples`."""
-    return next(_decoded(fixed(contexts), RangeDecoder(coded(triples))))
+    return next(_decoded(fixed(contexts), coded(triples)))
 
 
 def check_decode_slots(ctx, higher=None):
@@ -406,7 +406,7 @@ def test_coders_match_the_oracle_stream(make_data, order):
     data = make_data()
     stream = oracle_stream(data, order)
     assert coded_at(data, order) == stream
-    symbols = _decoded(ContextModel(order), RangeDecoder(stream))
+    symbols = _decoded(ContextModel(order), stream)
     assert list(itertools.islice(symbols, len(data) + 1)) == [*data, EOS]
 
 

@@ -3,16 +3,7 @@ from bisect import bisect_right
 
 import pytest
 
-from voicepack.codecs.rangecoder import (
-    MASK32,
-    PROB_BITS,
-    PROB_MOVE,
-    PROB_ONE,
-    TOP,
-    RangeDecoder,
-    RangeEncoder,
-    new_bit_probs,
-)
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, finish, start
 
 TWO32 = 1 << 32
 
@@ -34,23 +25,9 @@ class UnboundedEncoder:
         if self.low >> 32 != written and written & 0xFF == 0xFF:
             self.carries_over_ff += 1
         self.range = r * freq if cum + freq < total else self.range - r * cum
-        while self.range < TOP:
-            self.range <<= 8
-            self.low <<= 8
-            self.shifts += 1
+        self._renormalize()
 
-    def encode_bit(self, probs, index, bit):
-        """The binary decision with renormalization repeated until range
-        is back at TOP, where RangeEncoder shifts at most once."""
-        p = probs[index]
-        bound = (self.range >> PROB_BITS) * p
-        if bit:
-            self.low += bound
-            self.range -= bound
-            probs[index] = p - (p >> PROB_MOVE)
-        else:
-            self.range = bound
-            probs[index] = p + ((PROB_ONE - p) >> PROB_MOVE)
+    def _renormalize(self):
         while self.range < TOP:
             self.range <<= 8
             self.low <<= 8
@@ -105,21 +82,32 @@ def test_bad_last_slot_rejected(commit, cum, freq, total):
         commit(cum, freq, total)
 
 
-def decode_slot(dec, cums):
-    """Frequency decoding on a RangeDecoder's registers, written out as the
+class FrequencyDecoder:
+    """Frequency decoding over rangecoder.start, written out as the
     production decoders (arith.AdaptiveModel.decoded, the PPM decoder) do
-    it in their own loops: the symbol s whose slot [cums[s], cums[s + 1])
-    the code points at, committed the way RangeEncoder.encode codes it."""
-    total = cums[-1]
-    r = dec.range // total
-    s = bisect_right(cums, min(dec.code // r, total - 1)) - 1
-    cum, freq = cums[s], cums[s + 1] - cums[s]
-    dec.code -= r * cum
-    dec.range = r * freq if cum + freq < total else dec.range - r * cum
-    while dec.range < TOP:
-        dec.code = ((dec.code << 8) | dec._byte()) & MASK32
-        dec.range <<= 8
-    return s
+    it in their own loops."""
+
+    def __init__(self, data):
+        self.data = data
+        self.range = MASK32
+        self.code = start(data)
+        self.pos = 5
+
+    def decode(self, cums):
+        """The symbol s whose slot [cums[s], cums[s + 1]) the code points
+        at, committed the way RangeEncoder.encode codes it."""
+        total = cums[-1]
+        r = self.range // total
+        s = bisect_right(cums, min(self.code // r, total - 1)) - 1
+        cum, freq = cums[s], cums[s + 1] - cums[s]
+        self.code -= r * cum
+        self.range = r * freq if cum + freq < total else self.range - r * cum
+        while self.range < TOP:
+            octet = self.data[self.pos] if self.pos < len(self.data) else 0
+            self.code = ((self.code << 8) | octet) & MASK32
+            self.pos += 1
+            self.range <<= 8
+        return s
 
 
 # a static five-symbol model
@@ -140,82 +128,33 @@ def _static_stream(seed, n):
 
 def test_freq_roundtrip_static_model():
     symbols, data = _static_stream(7, 5000)
-    dec = RangeDecoder(data)
-    assert [decode_slot(dec, CUMS) for _ in symbols] == symbols
-
-
-def test_bit_roundtrip_with_adaptive_probs():
-    rng = random.Random(13)
-    bits = [rng.getrandbits(1) for _ in range(8000)]
-    enc = RangeEncoder()
-    probs = new_bit_probs(4)
-    for i, b in enumerate(bits):
-        enc.encode_bit(probs, i % 4, b)
-    data = enc.finish()
-    dec = RangeDecoder(data)
-    probs = new_bit_probs(4)
-    assert [dec.decode_bit(probs, i % 4) for i in range(len(bits))] == bits
-
-
-def test_direct_bits_roundtrip():
-    rng = random.Random(29)
-    values = [(rng.getrandbits(w), w) for w in rng.choices(range(1, 17), k=1000)]
-    enc = RangeEncoder()
-    for v, w in values:
-        enc.encode_direct(v, w)
-    data = enc.finish()
-    dec = RangeDecoder(data)
-    for v, w in values:
-        assert dec.decode_direct(w) == v
-
-
-def test_mixed_apis_roundtrip():
-    rng = random.Random(31)
-    ops = []
-    for _ in range(3000):
-        kind = rng.randrange(3)
-        if kind == 0:
-            s = rng.randrange(4)
-            ops.append(("freq", s))
-        elif kind == 1:
-            ops.append(("bit", rng.getrandbits(1)))
-        else:
-            ops.append(("direct", rng.getrandbits(5)))
-    enc = RangeEncoder()
-    probs = new_bit_probs(1)
-    for kind, v in ops:
-        if kind == "freq":
-            enc.encode(v * 2, 2, 8)
-        elif kind == "bit":
-            enc.encode_bit(probs, 0, v)
-        else:
-            enc.encode_direct(v, 5)
-    data = enc.finish()
-    dec = RangeDecoder(data)
-    probs = new_bit_probs(1)
-    for kind, v in ops:
-        if kind == "freq":
-            assert decode_slot(dec, [0, 2, 4, 6, 8]) == v
-        elif kind == "bit":
-            assert dec.decode_bit(probs, 0) == v
-        else:
-            assert dec.decode_direct(5) == v
+    dec = FrequencyDecoder(data)
+    assert [dec.decode(CUMS) for _ in symbols] == symbols
 
 
 def test_empty_stream_decodes_zeros():
-    enc = RangeEncoder()
-    assert enc.finish() == b""
-    dec = RangeDecoder(b"")
-    assert dec.decode_direct(8) == 0
+    assert RangeEncoder().finish() == b""
+    assert start(b"") == 0
+    dec = FrequencyDecoder(b"")
+    assert [dec.decode([0, 1, 2]) for _ in range(100)] == [0] * 100
 
 
-def test_skewed_bits_compress_well():
-    # 10000 zero-bits against an adapting cell should take well under 200 bytes
-    enc = RangeEncoder()
-    probs = new_bit_probs(1)
-    for _ in range(10_000):
-        enc.encode_bit(probs, 0, 0)
-    assert len(enc.finish()) < 200
+def test_start_reads_octets_one_to_four():
+    # octet 0 is the encoder's leading zero; missing octets read as 0
+    assert start(b"\0\1\2\3\4\5") == 0x01020304
+    assert start(b"\0\xab") == 0xAB000000
+    assert start(b"\7") == 0
+
+
+@pytest.mark.parametrize("low, stream", [
+    (0, b""),
+    (0x12345600, b"\0\x12\x34\x56"),
+    # a carry out of low turns the written 0xFF octets to 0x00
+    ((1 << 32) | 0x01, b"\0\x08\0\0\0\0\0\x01"),
+])
+def test_finish_flushes_low_with_carry_and_trims(low, stream):
+    out = bytearray(b"\0\x07\xff\xff") if low >> 32 else bytearray(1)
+    assert finish(out, low) == stream
 
 
 def test_carries_match_unbounded_low():
@@ -235,68 +174,7 @@ def test_carries_match_unbounded_low():
         data = enc.finish()
         assert data == ref.finish()
         carries_over_ff += ref.carries_over_ff
-        dec = RangeDecoder(data)
-        assert [decode_slot(dec, cums) for _ in symbols] == symbols
+        dec = FrequencyDecoder(data)
+        assert [dec.decode(cums) for _ in symbols] == symbols
     # the streams exercise carries that turn written 0xFF octets to 0x00
     assert carries_over_ff >= 10
-
-
-@pytest.mark.parametrize("nbits", range(1, 10))
-def test_tree_roundtrip_matches_bitwise(nbits):
-    rng = random.Random(nbits)
-    size = 1 << nbits
-    # two trees side by side, as the LZ literal coder keeps them
-    coded = [(rng.randrange(2) * size, min(rng.getrandbits(nbits), rng.getrandbits(nbits)))
-             for _ in range(1500)]
-    enc = RangeEncoder()
-    probs = new_bit_probs(2 * size)
-    for base, value in coded:
-        enc.encode_tree(probs, base, nbits, value)
-    data = enc.finish()
-    # encode_tree is encode_bit per bit at context base + node
-    bitwise = RangeEncoder()
-    probs = new_bit_probs(2 * size)
-    for base, value in coded:
-        node = 1
-        for shift in range(nbits - 1, -1, -1):
-            bit = (value >> shift) & 1
-            bitwise.encode_bit(probs, base + node, bit)
-            node = (node << 1) | bit
-    assert bitwise.finish() == data
-    dec = RangeDecoder(data)
-    probs = new_bit_probs(2 * size)
-    assert [dec.decode_tree(probs, base, nbits) for base, _ in coded] == [v for _, v in coded]
-
-
-def test_one_shift_renormalizes_extreme_cells():
-    # long runs of one bit drive cells to 2017 (after zeros) and 31 (after
-    # ones); the rare bit then narrows `range` the most, yet one 8-bit shift
-    # restores range >= TOP, as the unbounded encoder's loop confirms
-    run = [0] * 300 + [1] + [0] * 20 + [1] * 300 + [0] + [1] * 20
-    bits = run * 4
-    values = [255 * b for b in run] * 2
-    enc, ref = RangeEncoder(), UnboundedEncoder()
-    probs, ref_probs = new_bit_probs(1), new_bit_probs(1)
-    seen = set()
-    for b in bits:
-        enc.encode_bit(probs, 0, b)
-        ref.encode_bit(ref_probs, 0, b)
-        assert enc.range == ref.range >= TOP
-        seen.add(probs[0])
-    tree_probs, ref_probs = new_bit_probs(256), new_bit_probs(256)
-    for v in values:
-        enc.encode_tree(tree_probs, 0, 8, v)
-        node = 1
-        for shift in range(7, -1, -1):
-            bit = (v >> shift) & 1
-            ref.encode_bit(ref_probs, node, bit)
-            node = (node << 1) | bit
-        assert enc.range == ref.range >= TOP
-    seen.update(tree_probs)
-    assert {31, 2017} <= seen
-    data = enc.finish()
-    assert data == ref.finish()
-    dec = RangeDecoder(data)
-    probs, tree_probs = new_bit_probs(1), new_bit_probs(256)
-    assert [dec.decode_bit(probs, 0) for _ in bits] == bits
-    assert [dec.decode_tree(tree_probs, 0, 8) for _ in values] == values
