@@ -5,8 +5,6 @@ from bisect import bisect_left
 
 import pytest
 
-from test_rangecoder import UnboundedEncoder
-
 from voicepack.codecs.lz import (
     _CHAIN_TRIES,
     MAX_MATCH,
@@ -200,100 +198,6 @@ def test_corrupt_stream_detected_or_wrong():
     except CorruptStream:
         return
     assert got != data
-
-
-class UnboundedTokenCoder(UnboundedEncoder):
-    """The LZMA token decisions as README states them, one method per
-    kind, with `low` as an unbounded integer and renormalization repeated
-    while range < TOP, where encode_payload shifts at most once per
-    decision.  `cells` collects every value a probability cell takes."""
-
-    def __init__(self):
-        super().__init__()
-        self.cells = set()
-
-    def bit(self, cells, index, bit):
-        p = cells[index]
-        bound = (self.range >> 11) * p
-        if bit:
-            self.low += bound
-            self.range -= bound
-            p -= p >> 5
-        else:
-            self.range = bound
-            p += (2048 - p) >> 5
-        cells[index] = p
-        self.cells.add(p)
-        self._renormalize()
-
-    def tree(self, cells, nbits, value):
-        node = 1
-        for shift in range(nbits - 1, -1, -1):
-            bit = (value >> shift) & 1
-            self.bit(cells, node, bit)
-            node = 2 * node + bit
-
-    def direct(self, value, nbits):
-        for shift in range(nbits - 1, -1, -1):
-            self.range >>= 1
-            if (value >> shift) & 1:
-                self.low += self.range
-            self._renormalize()
-
-
-def reference_payload(tokens):
-    """The payload of `tokens`, coded bit by bit, tree by tree, from
-    README's LZMA rules; returns it with the coder."""
-    coder = UnboundedTokenCoder()
-    flags = [1024] * 2
-    literals = [[1024] * 256 for _ in range(2)]
-    lengths = [1024] * 512
-    slots = [1024] * 16
-    prev_kind = 0
-    for offset, value in tokens:
-        kind = int(offset > 0)
-        coder.bit(flags, prev_kind, kind)
-        if kind:
-            coder.tree(lengths, 9, value - MIN_MATCH)
-            d = offset - 1
-            s = d.bit_length()
-            coder.tree(slots, 4, s)
-            if s >= 2:
-                coder.direct(d - (1 << (s - 1)), s - 1)
-        else:
-            coder.tree(literals[prev_kind], 8, value)
-        prev_kind = kind
-    return coder.finish(), coder
-
-
-def extreme_cells_input():
-    """b"xyz" repeated, coded as 273-octet matches, drives the flag after
-    a match to 31; 33,000 random octets, coded as literals, drive the flag
-    after a literal to 2017.  Then a 16-octet copy at offset 2**s for each
-    slot s from 0 to 15, the longer ones from the random octets."""
-    rng = random.Random(53)
-    data = bytearray(b"xyz" * 15_000)
-    data += rng.randbytes(33_000)
-    for s in range(16):
-        for _ in range(16):
-            data.append(data[-(1 << s)])
-        data += rng.randbytes(4)
-    return bytes(data)
-
-
-def test_one_shift_renormalizes_extreme_cells():
-    # The rare bit at a cell of 31 or 2017 narrows the range the most, yet
-    # encode_payload, shifting once per decision, writes the bytes of the
-    # reference, which shifts until range >= TOP.  The reference codes each
-    # tree bit by bit, so the match also shows that encode_payload's tree
-    # loop codes a tree as README's per-bit decisions.
-    data = extreme_cells_input()
-    tokens = lz77_parse(data)
-    assert {(offset - 1).bit_length() for offset, _ in tokens if offset} == set(range(16))
-    payload, coder = reference_payload(tokens)
-    assert {31, 2017} <= coder.cells
-    assert encode_payload(data) == payload
-    assert decode_payload(payload, len(data)) == data
 
 
 @pytest.mark.parametrize("payload", [
