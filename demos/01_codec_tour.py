@@ -27,8 +27,10 @@ for alg in AlgorithmId:
 
 print("\nevery stream decoded back to the identical payload")
 
-# the container is self-describing: magic, algorithm octet, original length
+# the container is self-describing: algorithm octet, original length, CRC-32
 blob = compress(payload, AlgorithmId.PPM)
-head = blob.to_bytes()[:9]
+wire = blob.to_bytes()
+head = wire[:len(wire) - len(blob.payload)]
 print(f"container header for ppm: {head.hex(' ')}")
-print("  = magic 'CVT1' | algorithm 0x04 | original length big-endian")
+print(f"  = 0x80 | algorithm 0x04 | original length {len(payload)} as LEB128"
+      f" | CRC-32 {blob.crc:08x}")

@@ -1,14 +1,23 @@
-"""Huffman coding with a frequency header and canonical codes.
+"""Huffman coding with canonical codes, sent as a table of code lengths.
 
 The tree is built by repeatedly merging the two lowest-weight roots;
 weight ties are broken toward the node holding the smallest octet, so
 tables are reproducible.  Code words are then re-assigned canonically
-(sorted by length, then octet), which lets the decoder rebuild the exact
-table from the transmitted frequencies alone.
+(sorted by length, then octet; RFC 1951 section 3.2.2), so the code
+lengths alone fix the table.
 
-Payload layout: symbol count (2 octets BE), then per symbol in ascending
-octet order its value (1 octet) and count (4 octets BE), then the packed
-code bits with the last partial octet zero-padded.
+Payload layout (the BITS/HUFFVAL lists of ITU-T T.81 Annex C): n - 1
+for n distinct symbols (1 octet); L, the longest code length (1 octet);
+the number of codes of each length 1..L - 1 (1 octet each; length L
+takes the rest of the n); the n symbols sorted by length and then
+octet; then the packed code bits with the last partial octet
+zero-padded.  An empty input has an empty payload.  The decoder rejects
+a Kraft sum other than 1 (but for one symbol of length 1), a repeated
+symbol, symbols out of order within a length, and counts past n.
+
+The older frequency header of CVT1 containers (huffman_decode_cvt1):
+symbol count (2 octets BE), then per symbol in ascending octet order
+its value (1 octet) and count (4 octets BE), then the same code bits.
 
 The encoder joins the code strings of all symbols into one string of
 '0'/'1' and converts it to octets in a single int(bits, 2) call.  The
@@ -81,23 +90,65 @@ def build_huffman_table(freqs):
     return table
 
 
+def _canonical_order(table):
+    """The symbols of a code table sorted by code length, then octet, and
+    counts[l], the number of codes of length l, for l in 0..L."""
+    symbols = sorted(table, key=lambda sym: (len(table[sym]), sym))
+    counts = [0] * (len(table[symbols[-1]]) + 1)
+    for code in table.values():
+        counts[len(code)] += 1
+    return symbols, counts
+
+
 def huffman_encode(data):
-    """Serialize frequencies plus the packed code bits."""
-    freqs = Counter(data)
-    header = bytearray(_HDR_COUNT.pack(len(freqs)))
-    for sym in sorted(freqs):
-        header += _HDR_ENTRY.pack(sym, freqs[sym])
+    """Serialize the code lengths plus the packed code bits."""
     if not data:
-        return bytes(header)
+        return b""
+    table = build_huffman_table(Counter(data))
+    symbols, counts = _canonical_order(table)
+    longest = len(counts) - 1
+    header = bytes([len(symbols) - 1, longest, *counts[1:longest], *symbols])
     codes = [""] * 256
-    for sym, code in build_huffman_table(freqs).items():
+    for sym, code in table.items():
         codes[sym] = code
     bits = "".join(map(codes.__getitem__, data))
     bits += "0" * (-len(bits) % 8)
-    return bytes(header) + int(bits, 2).to_bytes(len(bits) // 8, "big")
+    return header + int(bits, 2).to_bytes(len(bits) // 8, "big")
 
 
-def _parse_header(payload):
+def _read_lengths(payload):
+    """(symbols, counts, body offset) from a code-length header, checked."""
+    if len(payload) < 2:
+        raise CorruptStream("huffman header truncated")
+    n = payload[0] + 1
+    longest = payload[1]
+    if longest == 0:
+        raise CorruptStream("huffman longest code length of zero")
+    body_at = 1 + longest + n
+    if len(payload) < body_at:
+        raise CorruptStream("huffman code length table truncated")
+    counts = [0, *payload[2:longest + 1]]
+    rest = n - sum(counts)
+    if rest < 1:
+        raise CorruptStream("huffman code counts exceed the symbol count")
+    counts.append(rest)
+    kraft = sum(count << (longest - length) for length, count in enumerate(counts))
+    if kraft != 1 << longest and (n, longest) != (1, 1):
+        raise CorruptStream("huffman code lengths do not have a Kraft sum of 1")
+    symbols = payload[longest + 1:body_at]
+    if len(set(symbols)) != n:
+        raise CorruptStream("huffman symbol repeated")
+    at = 0
+    for count in counts:
+        run = symbols[at:at + count]
+        if run != bytes(sorted(run)):
+            raise CorruptStream("huffman symbols out of order within a length")
+        at += count
+    return symbols, counts, body_at
+
+
+def _read_frequencies(payload):
+    """(frequency map, body offset) from a CVT1 frequency header, checked."""
     if len(payload) < _HDR_COUNT.size:
         raise CorruptStream("huffman header truncated")
     (n,) = _HDR_COUNT.unpack_from(payload)
@@ -119,30 +170,47 @@ def _parse_header(payload):
 
 def huffman_decode(payload, original_len):
     """Inverse of huffman_encode for a known output length."""
-    freqs, body_at = _parse_header(payload)
+    if original_len == 0:
+        if payload:
+            raise CorruptStream("huffman payload for an empty input")
+        return b""
+    symbols, counts, body_at = _read_lengths(payload)
+    return _decode_bits(symbols, counts, payload[body_at:], original_len)
+
+
+def huffman_decode_cvt1(payload, original_len):
+    """Decode a Huffman payload of a CVT1 container: the frequency header."""
+    freqs, body_at = _read_frequencies(payload)
     if original_len == 0:
         return b""
     if not freqs:
         raise CorruptStream("huffman body without symbols")
+    symbols, counts = _canonical_order(build_huffman_table(freqs))
+    return _decode_bits(symbols, counts, payload[body_at:], original_len)
 
-    table = build_huffman_table(freqs)
-    max_len = max(map(len, table.values()))
+
+def _decode_bits(symbols, counts, body, original_len):
+    """Decode original_len symbols of the canonical code that gives
+    counts[l] codes of length l to `symbols`, taken in order."""
+    max_len = len(counts) - 1
     k = min(max_len, LOOKUP_BITS)
     mask = (1 << k) - 1
     # lookup[i] is (symbol, length) for the code that prefixes the k-bit
     # pattern i, or None where only a code longer than k bits can match.
     lookup = [None] * (1 << k)
     long_codes = {}
-    for sym, code in table.items():
-        length = len(code)
-        if length <= k:
-            lo = int(code, 2) << (k - length)
-            span = 1 << (k - length)
-            lookup[lo:lo + span] = [(sym, length)] * span
-        else:
-            long_codes[(int(code, 2), length)] = sym
+    code = at = 0
+    for length in range(1, max_len + 1):
+        for sym in symbols[at:at + counts[length]]:
+            if length <= k:
+                span = 1 << (k - length)
+                lookup[code * span:(code + 1) * span] = [(sym, length)] * span
+            else:
+                long_codes[(code, length)] = sym
+            code += 1
+        at += counts[length]
+        code <<= 1
 
-    body = payload[body_at:]
     nbody = len(body)
     total_bits = nbody * 8
     out = bytearray()

@@ -6,7 +6,9 @@ class VoicepackError(Exception):
 
 
 class BadMagic(VoicepackError):
-    """Serialized blob does not start with the container magic."""
+    """Serialized blob has no valid container header: a bad first octet
+    or magic, a length not in minimal LEB128 or over 2**32 - 1, or too
+    few octets."""
 
 
 class UnknownAlgorithm(VoicepackError):

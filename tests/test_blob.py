@@ -1,6 +1,8 @@
 """Container wire format and the compress/decompress dispatch pair."""
 
+import dataclasses
 import random
+import zlib
 
 import pytest
 
@@ -11,7 +13,7 @@ from voicepack.codecs import (
     compress,
     decompress,
 )
-from voicepack.errors import BadMagic, CorruptStream, UnknownAlgorithm
+from voicepack.errors import BadMagic, CorruptStream, UnknownAlgorithm, VoicepackError
 
 ALL = list(AlgorithmId)
 
@@ -19,7 +21,15 @@ ALL = list(AlgorithmId)
 def test_wire_format_bit_exact():
     blob = compress(b"Hi", AlgorithmId.NONE)
     raw = blob.to_bytes()
-    assert raw == bytes([0x43, 0x56, 0x54, 0x31, 0x00, 0, 0, 0, 2]) + b"Hi"
+    assert zlib.crc32(b"Hi") == 0x4D170E0E
+    assert raw == bytes([0x80, 0x02, 0x4D, 0x17, 0x0E, 0x0E]) + b"Hi"
+
+
+@pytest.mark.parametrize("n, header", [(0, 6), (127, 6), (128, 7), (16383, 7), (16384, 8)])
+def test_header_length_follows_leb128(n, header):
+    blob = compress(bytes(n), AlgorithmId.NONE)
+    assert len(blob.to_bytes()) == header + n
+    assert CompressedBlob.parse(blob.to_bytes()) == blob
 
 
 def test_algorithm_octets():
@@ -43,6 +53,8 @@ def test_bad_magic():
 def test_unknown_algorithm():
     with pytest.raises(UnknownAlgorithm):
         CompressedBlob.parse(b"CVT1\x07\x00\x00\x00\x00")
+    with pytest.raises(UnknownAlgorithm):
+        CompressedBlob.parse(b"\x87\x00\x00\x00\x00\x00")
     with pytest.raises(UnknownAlgorithm):
         AlgorithmId.from_label("zip")
     with pytest.raises(UnknownAlgorithm):
@@ -101,7 +113,7 @@ def test_self_concatenation_amortizes(alg):
 def test_truncated_payload_raises(alg):
     data = b"all work and no play makes jack a dull boy " * 30
     blob = compress(data, alg)
-    clipped = CompressedBlob(alg, blob.original_len, blob.payload[:2])
+    clipped = dataclasses.replace(blob, payload=blob.payload[:2])
     with pytest.raises(CorruptStream):
         decompress(clipped)
 
@@ -111,3 +123,30 @@ def test_none_length_mismatch_raises():
     with pytest.raises(CorruptStream):
         decompress(blob)
 
+
+def test_crc_mismatch_raises():
+    blob = compress(b"payload bytes", AlgorithmId.NONE)
+    with pytest.raises(CorruptStream, match="CRC-32"):
+        decompress(dataclasses.replace(blob, crc=blob.crc ^ 1))
+
+
+@pytest.mark.parametrize("alg", ALL, ids=lambda alg: alg.label)
+def test_single_bit_flips_never_decode_silently(alg):
+    # 150 flips of one bit each in the CRC field or the payload; the
+    # algorithm octet and the length octets are left alone.  A flip either
+    # raises or, where the decoder never reads that bit (the range coder's
+    # leading zero octet and the slack in its last octets, or a BWT primary
+    # index moved to an equal rotation), decodes to the original.
+    data = b"the quick brown fox " * 50
+    raw = compress(data, alg).to_bytes()
+    first = 1 + 2  # algorithm octet, 2-octet LEB128 length of 1000
+    assert raw[first - 1] < 0x80 <= raw[first - 2]
+    rng = random.Random(7)
+    for bit in rng.sample(range(first * 8, len(raw) * 8), 150):
+        damaged = bytearray(raw)
+        damaged[bit >> 3] ^= 0x80 >> (bit & 7)
+        try:
+            got = decompress(CompressedBlob.parse(bytes(damaged)))
+        except VoicepackError:
+            continue
+        assert got == data, f"bit {bit} decodes to other octets without an error"

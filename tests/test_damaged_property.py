@@ -1,8 +1,9 @@
 """Property test: a damaged payload of any of the six codecs decodes to
 the declared length or raises a VoicepackError, never anything else.
 
-The decoded octets may differ from the original: the container carries
-no checksum, so some damage decodes to other octets of the right length.
+The decoded octets may differ from the original: the payload is decoded
+here without its container, whose CRC-32 would catch such damage, so
+some of it decodes to other octets of the right length.
 """
 
 import random

@@ -2,8 +2,10 @@
 
 The digests pin the wire bytes, so a refactor or speed-up that changes
 any output octet fails here.  A deliberate wire-format change updates
-them and says so.  Each digest is the SHA-256 over the input set of
-every container, each prefixed by its length as 4 octets big-endian.
+them and says so; the CVT2 container replaced these digests of the CVT1
+one, and tests/test_cvt1.py keeps CVT1 readable.  Each digest is the
+SHA-256 over the input set of every container, each prefixed by its
+length as 4 octets big-endian.
 """
 
 import hashlib
@@ -16,22 +18,22 @@ from voicepack.codecs import AlgorithmId, compress
 
 GOLDEN = {
     "seed42_trial1": {
-        "none": "c15235c0d1bfccd389ba055da7700db864ca8a1cf1cc65f4e65b0bbc851d63b8",
-        "lzw": "6b4ba1c715c3933ffcb364c7236efcfdd29f6ae74b9580bde66852ac9c00f41b",
-        "lzma": "19e473909b003d9309178c97dc3d385491ae50d4e03f80c4de34911618b1b768",
-        "huffman": "2b1f8020d215dbbf12510eb1706acd30f42bab5c6419c75331bb6f0048f7e636",
-        "ppm": "b2f48c986a9e14ca4cb30e28dbdb2e5f49355f4e96a66f356d7a684c624625ea",
-        "ac": "a3d048859062ccd076dd2dbd09c48151cbb64399db5fbec087c8577776bfbf8d",
-        "bwt": "6079ca5f79604e7d51e0e9c68771bc3d3acb97ee45370b3d8e48249cebfc1bb2",
+        "none": "4ba163b0aa82cf39ebdc731ac28672b2d1e21b056a201ef75bc165e68231bd8d",
+        "lzw": "11ab99eb52a390c4edc828f380823f0e6165cc6f695656ed98499721c3fe36c3",
+        "lzma": "b4b3cdc546b1ce2ae57b119754297bcb2286f6346429d8a49433a726344acbc5",
+        "huffman": "ea455795fe2be491f3f765cb2a39be5034d1aaef291a3b0880e47f0d728ebfbe",
+        "ppm": "606c28d3a23c5a4db6ac0299e90eb660ee7f7a079795870cdb69971ed9fd7583",
+        "ac": "584847f8b02dc7a950368973c776dda4b2a681ec0b28fc9ca38ead8084c3ebe8",
+        "bwt": "3bbd49a653f28fcac41c967a59269aebb581ca4a60f3299a1b235a222866a111",
     },
     "mixed_20250808": {
-        "none": "52d33e6367dc8e5431b30c9fc12ecd026532b011dc76c7eac318f1a27adc8957",
-        "lzw": "1dd0b6f7f3a87f4891922da82d2daa6bb56d2c8c2f29413bdaf5e556c6986fd7",
-        "lzma": "84509d4c43664d8ad0ae7ce4c6239af64143c0cf8a8fac2f97a7952c3eed005c",
-        "huffman": "b62d2531b3be66798600fddd4bd0281794cc49c9e212fe3a4d1546336e9f886f",
-        "ppm": "9425139db8b26ed0b1d1f29648ed5132d506ed0b299632d36f43baaec1f9fd2f",
-        "ac": "2f11e1324529eb998b31f2c9d1e2afeba6ed7bfa33a4feef918677aa3b35bf01",
-        "bwt": "cce248b4eac9f8f90a3ac9c1539d00cf27bb9d2a51f826a6036627e07b436edf",
+        "none": "dc8ed0299c2c0b8117a8c4935c8a1e4133176a8fb949b88c741d879a186ed89e",
+        "lzw": "75eaf84aae91954a9f7a0607bc79a2ddabfff40b4d052870123c9e045ee5dd45",
+        "lzma": "19d593078524ea7ce080871daa86938ecc7c39dc0743188cd586592b53eb2d87",
+        "huffman": "362b4a9232180a65146ced08bb50c857ba45b79690868349bc953e288dcec39a",
+        "ppm": "3b363dce20a6d7e5772f8ef1e21950b60d62d784a3b2286538b63e992304ecaa",
+        "ac": "5e27a0a1f48efa782b1d0dc8042affa173eb67e0eaa55cabaf61e1f896950c5a",
+        "bwt": "c3ac91c3058a4513b3ea5de3ed0db07ce5918d612b9b4e47e0fcc637f9dc7b2a",
     },
 }
 

@@ -11,6 +11,7 @@ from voicepack.codecs.huffman import (
     LOOKUP_BITS,
     build_huffman_table,
     huffman_decode,
+    huffman_decode_cvt1,
     huffman_encode,
 )
 from voicepack.errors import CorruptStream, EmptyAlphabet
@@ -116,7 +117,8 @@ def test_body_bits_aaab():
     body_bits = sum(freqs[s] * len(table[s]) for s in freqs)
     assert body_bits == 4
     payload = huffman_encode(b"aaab")
-    header_len = 2 + 2 * 5
+    header_len = 1 + 1 + 2  # n - 1, L = 1, the two symbols
+    assert payload[:header_len] == b"\x01\x01ab"
     assert len(payload) == header_len + (body_bits + 7) // 8
 
 
@@ -125,12 +127,16 @@ def test_body_bits_abcabc():
     table = build_huffman_table(freqs)
     body_bits = 2 * sum(len(table[ord(c)]) for c in "abc")
     payload = huffman_encode(b"abcabc")
-    assert len(payload) == 2 + 3 * 5 + (body_bits + 7) // 8
+    # n - 1, L = 2, one code of length 1, then c | a b: the tie-break
+    # merges a and b first
+    assert payload[:6] == b"\x02\x02\x01cab"
+    assert len(payload) == 6 + (body_bits + 7) // 8
 
 
 def test_empty_input_header_only():
+    # the header of no symbols is empty
     payload = huffman_encode(b"")
-    assert payload == b"\x00\x00"
+    assert payload == b""
     assert huffman_decode(payload, 0) == b""
 
 
@@ -153,15 +159,46 @@ def test_truncated_body_raises():
         huffman_decode(payload[:-1], 17)
 
 
+BAD_HEADERS = [
+    b"\x00\x00z",              # L = 0
+    b"\x00\x02\x00z",          # one symbol of length 2: Kraft sum 1/4
+    b"\x01\x02\x00ab",         # two codes of length 2: Kraft sum 1/2
+    b"\x02\x02\x03abc",        # counts past n: no code left for length 2
+    b"\x01\x02\x02ab",         # Kraft sum 1, but L = 2 has no code left
+    b"\x02\x02\x00abc",        # three codes of length 2: Kraft sum 3/4
+    b"\x03\x02\x01abcd",       # 1/2 + 3/4: Kraft sum above 1
+    b"\x02\x02\x01acc",        # a repeated symbol
+    b"\x02\x02\x01acb",        # out of order within length 2
+    b"\x02\x03\x01\x01abc",    # one code each of lengths 1, 2, 3: Kraft sum 7/8
+]
+
+
 def test_corrupt_header_raises():
+    for header in BAD_HEADERS:
+        with pytest.raises(CorruptStream):
+            huffman_decode(header + bytes(4), 5)
+
+
+def test_payload_for_empty_input_raises():
     with pytest.raises(CorruptStream):
-        huffman_decode(b"\x00", 0)
+        huffman_decode(huffman_encode(b"a"), 0)
+
+
+def test_cvt1_frequency_header():
+    # the CVT1 layout: symbol count, then octet and count per symbol,
+    # then the same code bits as the CVT2 payload
+    freq_header = b"\x00\x02" + b"a\x00\x00\x00\x03" + b"b\x00\x00\x00\x01"
+    body = huffman_encode(b"aaab")[4:]
+    assert huffman_decode_cvt1(freq_header + body, 4) == b"aaab"
+    assert huffman_decode_cvt1(b"\x00\x00", 0) == b""
     with pytest.raises(CorruptStream):
-        huffman_decode(b"\x00\x00", 5)  # body without symbols
+        huffman_decode_cvt1(b"\x00", 0)
+    with pytest.raises(CorruptStream):
+        huffman_decode_cvt1(b"\x00\x00", 5)  # body without symbols
     # symbols not ascending
     bad = b"\x00\x02" + b"\x05" + b"\x00\x00\x00\x01" + b"\x04" + b"\x00\x00\x00\x01"
     with pytest.raises(CorruptStream):
-        huffman_decode(bad, 2)
+        huffman_decode_cvt1(bad, 2)
 
 
 def test_optimality_spot_checks():
@@ -192,9 +229,13 @@ def test_long_codes_roundtrip_pinned():
     table = build_huffman_table(Counter(data))
     assert max(map(len, table.values())) == 24 > LOOKUP_BITS
     payload = huffman_encode(data)
-    # Digest computed with the bit-at-a-time coder this one replaced.
-    assert hashlib.sha256(payload).hexdigest() == (
-        "682110d0485a474ab574c7c04f2a28d154ce60ecf974670bb44d0114959f4fac")
+    # 24 lengths and 25 symbols: one code of each length 1..23, two of 24
+    header_len = 1 + 24 + 25
+    assert payload[:25] == bytes([24, 24]) + bytes([1] * 23)
+    # Digest of the code bits, computed with the bit-at-a-time coder of
+    # the frequency header that this one replaced.
+    assert hashlib.sha256(payload[header_len:]).hexdigest() == (
+        "fcbae31114cb807cbf2e8ee012268410d1a39f3ded790314b927ff59d714238b")
     assert huffman_decode(payload, len(data)) == data
 
 

@@ -44,13 +44,13 @@ def test_character_count_equals_blob_length():
 def test_empty_payload_none_single_segment():
     bundle = encode_message(VoicePayload(b""), AlgorithmId.NONE, ref=1)
     assert len(bundle.segments) == 1
-    assert len(bundle.segments[0].body) == 9  # header-only container
+    assert len(bundle.segments[0].body) == 6  # header-only container
 
 
 def test_thousand_octets_none_eight_segments():
     data = os.urandom(1000)
     bundle = encode_message(VoicePayload(data), AlgorithmId.NONE, ref=1)
-    assert len(bundle.segments) == 8  # ceil(1009 / 134)
+    assert len(bundle.segments) == 8  # ceil(1007 / 134)
 
 
 def test_roundtrip_every_algorithm():
