@@ -25,7 +25,7 @@ length and then EOS, for AC and PPM alike.
 
 from itertools import islice
 
-from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, start
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, past_end, start
 from voicepack.errors import CorruptStream
 
 EOS = 256
@@ -77,13 +77,9 @@ class AdaptiveModel:
         """Yield the symbols that the range-coded stream `data` codes,
         without end.
 
-        `counts`, `_blocks` and `total` are current at every yield.  Past
-        the end of `data` it reads zero octets.
+        `counts`, `_blocks` and `total` are current at every yield.
         """
-        rng = MASK32
-        code = start(data)
-        pos = 5
-        end = len(data)
+        rng, code, pos, end = start(data)
         counts = self.counts
         blocks = self._blocks
         total = self.total
@@ -109,7 +105,7 @@ class AdaptiveModel:
             # loop always ends
             rng = r * freq if cum + freq < total else rng - r * cum
             while rng < TOP:
-                code = ((code << 8) | (data[pos] if pos < end else 0)) & MASK32
+                code = ((code << 8) | (data[pos] if pos < end else past_end(pos - end))) & MASK32
                 pos += 1
                 rng <<= 8
             counts[s] = freq + ADAPT_INCREMENT

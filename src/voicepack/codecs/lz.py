@@ -32,16 +32,11 @@ in locals.  Each token codes its flag decision inline, then runs one
 tree loop over its trees (the literal tree, or the length tree and then
 the slot tree), then the direct bits.
 
-The decoder raises CorruptStream once its read position passes the end
-of the payload by more than _MAX_OVER_READ = 64 octets, checked once per
-token.  No valid stream reaches that.  The decoder reads five octets and
-then one per renormalization shift, in step with the encoder, so at the
-end of a valid stream it has read past the end exactly the zero octets
-that trimming removed: the trailing zero octets of `low`, taken as one
-unbounded number.  Let the last decision that raises `low` (a 1 bit or
-a direct 1 bit) leave `low`'s register nonzero modulo 2**32.  Then the
-register ends in at most 3 zero octets, and each shift after that
-decision, its own included, adds one more.  Every decision after it
+The rangecoder module's limit of MAX_OVER_READ = 64 octets read past
+the end holds for this parse with room to spare: a stream of it reads
+at most 36.  The rangecoder docstring shows that the over-read is at
+most 3 + s, where s counts the shifts from the last decision that
+raises `low` (a 1 bit or a direct 1 bit) on.  Every decision after it
 codes a 0, and a match's flag codes a 1, so what follows it is at most
 the rest of its token, no more than the rest of a match (9 length and 4
 slot decisions and up to 14 direct bits), and then three literal octets
@@ -52,18 +47,19 @@ log2(2048/31) ~ 6.05 bits, and 14 direct bits of 1 bit each: 262 bits.
 The range is at least 2**24 before them and below 2**32 after, so they
 take s shifts with 8s < 8 + 262, s <= 33, and the over-read is at most
 36 octets.  A stream with no raise at all holds at most those three
-literals: at most 5 + 21 octets.  The limit leaves 28 octets for the one
-case the argument skips, a raise that carries `low` to exactly a
-multiple of 2**32, about one raise in 2**32.
+literals: at most 5 + 21 octets.  The 36 is a property of this parse;
+the 64 is the format's.  A parse that sent long runs of literal zero
+octets would break it: an all-literal parse of 10,000 zero octets trims
+to an empty stream.
 
 The limit bounds the decoder's work by its input.  Every decision
 narrows the range by at least log2(2048/2017) ~ 0.022 bits, so a token,
 9 decisions or more, narrows it by 0.19 bits; the decoder reads an
 octet at least every 41 tokens, and a payload that declares more than
-it codes raises within about 41 * (len(payload) + 60) tokens.
+it codes raises within about 41 * (len(payload) + 64) tokens.
 """
 
-from voicepack.codecs.rangecoder import MASK32, TOP, carry, finish, start
+from voicepack.codecs.rangecoder import MASK32, TOP, begin, carry, finish, past_end, start
 from voicepack.errors import CorruptStream
 
 WINDOW = 32768
@@ -88,8 +84,6 @@ _CELLS = _FLAG + 2
 # the decoder's trees per token kind, as (base, bits)
 _LITERAL_TREES = (((0, 8),), ((256, 8),))  # by prev_kind
 _MATCH_TREES = ((_LEN, _LEN_TREE_BITS), (_SLOT, _SLOT_TREE_BITS))
-
-_MAX_OVER_READ = 64
 
 
 def lz77_parse(data):
@@ -138,9 +132,7 @@ def lz77_parse(data):
 def encode_payload(data):
     tokens = lz77_parse(data)
     probs = [PROB_INIT] * _CELLS
-    out = bytearray(1)
-    low = 0
-    rng = MASK32
+    out, low, rng = begin()
     prev_kind = 0
     for offset, value in tokens:
         i = _FLAG + prev_kind
@@ -201,16 +193,10 @@ def encode_payload(data):
 
 def decode_payload(payload, original_len):
     probs = [PROB_INIT] * _CELLS
-    rng = MASK32
-    code = start(payload)
-    pos = 5
-    end = len(payload)
-    limit = end + _MAX_OVER_READ
+    rng, code, pos, end = start(payload)
     out = bytearray()
     prev_kind = 0
     while len(out) < original_len:
-        if pos > limit:
-            raise CorruptStream("LZ stream reads past its end")
         i = _FLAG + prev_kind
         p = probs[i]
         bound = (rng >> PROB_BITS) * p
@@ -226,7 +212,7 @@ def decode_payload(payload, original_len):
             trees = _MATCH_TREES
             prev_kind = 1
         if rng < TOP:
-            code = ((code << 8) | (payload[pos] if pos < end else 0)) & MASK32
+            code = ((code << 8) | (payload[pos] if pos < end else past_end(pos - end))) & MASK32
             pos += 1
             rng <<= 8
         value = 0
@@ -246,7 +232,7 @@ def decode_payload(payload, original_len):
                     probs[i] = p - (p >> PROB_MOVE)
                     node = (node << 1) | 1
                 if rng < TOP:
-                    code = ((code << 8) | (payload[pos] if pos < end else 0)) & MASK32
+                    code = ((code << 8) | (payload[pos] if pos < end else past_end(pos - end))) & MASK32
                     pos += 1
                     rng <<= 8
             value = (value << nbits) | (node - (1 << nbits))
@@ -265,7 +251,7 @@ def decode_payload(payload, original_len):
             else:
                 d <<= 1
             if rng < TOP:
-                code = ((code << 8) | (payload[pos] if pos < end else 0)) & MASK32
+                code = ((code << 8) | (payload[pos] if pos < end else past_end(pos - end))) & MASK32
                 pos += 1
                 rng <<= 8
         src = len(out) - d - 1

@@ -89,7 +89,7 @@ from bisect import bisect_left
 from itertools import chain
 
 from voicepack.codecs.arith import BLOCK_SHIFT, BLOCK_WIDTH, EOS, block_sums, read_to_eos
-from voicepack.codecs.rangecoder import MASK32, TOP, carry, finish, start
+from voicepack.codecs.rangecoder import MASK32, TOP, begin, carry, finish, past_end, start
 
 ORDER = 3
 _NUM_MINUS1 = 257
@@ -183,9 +183,7 @@ class ContextModel:
 def _encode(model, data):
     """Code `data` and then EOS under `model`, counting each octet after it
     is coded; returns the finished stream."""
-    out = bytearray(1)
-    low = 0
-    rng = MASK32
+    out, low, rng = begin()
     update = model.update
     for sym in chain(data, (EOS,)):
         excl = ()
@@ -250,12 +248,8 @@ def _encode(model, data):
 
 def _decoded(model, data):
     """Yield the symbols that the range-coded stream `data` codes under
-    `model`, without end, counting each octet before it is yielded.  Past
-    the end of `data` it reads zero octets."""
-    rng = MASK32
-    code = start(data)
-    pos = 5
-    end = len(data)
+    `model`, without end, counting each octet before it is yielded."""
+    rng, code, pos, end = start(data)
     update = model.update
     while True:
         excl = ()
@@ -317,7 +311,7 @@ def _decoded(model, data):
                 code -= r * avail
                 rng -= r * avail
             while rng < TOP:
-                code = ((code << 8) | (data[pos] if pos < end else 0)) & MASK32
+                code = ((code << 8) | (data[pos] if pos < end else past_end(pos - end))) & MASK32
                 pos += 1
                 rng <<= 8
             if v < avail:
@@ -332,7 +326,7 @@ def _decoded(model, data):
             code -= r * v
             rng = r if v + 1 < total else rng - r * v
             while rng < TOP:
-                code = ((code << 8) | (data[pos] if pos < end else 0)) & MASK32
+                code = ((code << 8) | (data[pos] if pos < end else past_end(pos - end))) & MASK32
                 pos += 1
                 rng <<= 8
             sym = v

@@ -1,38 +1,109 @@
 """The 32-bit range-coder stream shared by the LZMA, PPM and AC payloads
-and each BWT block.
+and each BWT block.  This module is the one place that states how a
+stream starts and ends.
 
 The coder keeps a 32-bit `range` and renormalizes one octet at a time:
 while `range` is below TOP = 2**24, the encoder shifts the top octet of
 `low` out and the decoder shifts the next octet of the stream into
 `code`, and both shift `range` left by 8 bits.  The encoder keeps what
 it has written and adds a carry out of `low` into those octets, so
-`low` never needs more than 33 bits.  The stream starts with one zero
-octet, which no carry passes, and ends with the four octets of `low`;
-trailing zero octets are trimmed, and a decoder reads every octet past
-the end as zero, so trimming changes nothing it decodes.
+`low` never needs more than 33 bits.
 
 Every stream is coded in one frame: each codec's encoder and decoder
 keep the registers, the output buffer or the read position in locals
 for the whole stream and renormalize inline, so each frequency-coding
 step divides once (Moffat, Neal & Witten, "Arithmetic coding
-revisited", ACM TOIS 1998).  This module states what they share: a
-decoder starts from `range` = MASK32, `code` = start(data) and reading
-position 5; an encoder starts from `low` = 0, `range` = MASK32 and the
-output bytearray(1), adds carries through carry() and ends with
-finish(out, low).  RangeEncoder codes one frequency slot per call, for
-the AC and BWT senders.
+revisited", ACM TOIS 1998).  They share two rules, stated here once:
+
+- The start.  An encoder starts from begin(): an output holding one zero
+  octet, which no carry passes, `low` = 0 and `range` = MASK32.  A
+  decoder starts from start(data): `range` = MASK32, `code` = octets
+  1-4 big-endian, and reading resumes at octet 5.  Octet 0 must be
+  zero.  An empty stream is valid: it is what a stream whose `low`
+  stays 0 trims to, such as LZMA's of no octets.
+- The end.  finish() writes the four octets of `low` and trims every
+  trailing zero octet.  The decoder reads every octet past the end as
+  zero, through past_end(), which raises CorruptStream once it has read
+  MAX_OVER_READ = 64 of them (octets 1-4 that start() finds missing
+  count too).  So a payload that declares more than it codes costs no
+  more decoding work than its own octets and those 64 zeros can code.
+
+A valid stream reads far fewer than 64 octets past its end.  The
+decoder reads five octets and then one per renormalization shift, in
+step with the encoder, so at the end of a valid stream it has read past
+the end exactly the zero octets that trimming removed: the trailing
+zero octets of `low`, taken as one unbounded number.  Let the last
+coding step that raises `low` (a slot with cum > 0) leave `low`'s
+register nonzero modulo 2**32.  Then the register ends in at most 3
+zero octets, and each of the s shifts after that step, its own
+included, adds one more: the over-read is at most 3 + s.  Before any
+step `range` >= TOP, and every total is at most 2**16, so
+r = range // total >= 2**8.
+
+- AC ends in EOS, the last slot, whose cum sums 256 counts of at least
+  1.  It keeps range - r * cum >= r >= 2**8 of the range, so s <= 2 and
+  the over-read is at most 5 octets.
+- PPM ends in EOS too, after an escape from each context that codes.
+  An escape is the last slot, raises `low` by r * avail with avail >=
+  1, and keeps at least r * esc >= r; order -1 codes EOS in its last
+  slot, which raises `low` and keeps at least r, unless all 256 octets
+  are excluded and its total is 1, where it neither raises nor narrows.
+  So s <= 2 again: at most 5 octets.
+- A BWT block stream has no EOS.  It ends in the digits of its last
+  zero run, at most 16 (a run is at most BLOCK_SIZE = 2**16 octets),
+  and RUNA, slot 0, is the only token that leaves `low` alone, so at
+  most 16 steps follow the last raise.  Each step keeps at least
+  r * freq >= (range / total) * (1 - 2**-8) of the range, since
+  total / range <= 2**-8 and freq >= 1: it narrows by at most 16.006
+  bits, the 17 steps by 272.1.  The range is at least 2**24 before them
+  and below 2**32 after, so 8s < 8 + 272.1, s <= 35, and the over-read
+  is at most 38.  A block of RUNA digits alone never raises `low`; its
+  stream is empty, and its at most 16 steps from MASK32 take at most 33
+  shifts: 5 + 33 = 38 octets.
+- LZMA: lz.py derives at most 36 octets from its parse.
+
+The argument skips one case: a raise that carries `low` to exactly a
+multiple of 2**32, about one raise in 2**32.  The register is then 0,
+and the carry also turns the k 0xFF octets written before it into
+zeros, so the over-read is k + 4 + s.  The limit leaves room for k up
+to 58 for AC and PPM, 27 for LZMA and 25 for BWT; each 0xFF octet in
+such a run takes another 8 bits of the coded number equal to 1, just
+below the carry.
+
+RangeEncoder codes one frequency slot per call, for the AC and BWT
+senders; the other encoders code inline from begin() to finish().
 """
+
+from voicepack.errors import CorruptStream
 
 TOP = 1 << 24
 MASK32 = 0xFFFFFFFF
+MAX_OVER_READ = 64
+
+
+def begin():
+    """An encoder's start: (out, low, range), `out` holding the leading
+    zero octet, which no carry passes."""
+    return bytearray(1), 0, MASK32
 
 
 def start(data):
-    """The code register a decoder starts from: octets 1-4 of `data`,
-    big-endian, missing ones read as 0.  Octet 0 is the encoder's leading
-    zero; reading resumes at position 5."""
+    """A decoder's start: (range, code, pos, end).  `code` holds octets
+    1-4 of `data`, big-endian, missing ones read as 0; reading resumes at
+    `pos` = 5, and `end` = len(data).  Raises CorruptStream unless octet
+    0 is the encoder's leading zero or `data` is empty."""
+    if data and data[0]:
+        raise CorruptStream("range-coded stream does not start with a zero octet")
     head = data[1:5]
-    return int.from_bytes(head, "big") << (32 - 8 * len(head))
+    return MASK32, int.from_bytes(head, "big") << (32 - 8 * len(head)), 5, len(data)
+
+
+def past_end(over):
+    """The octet a decoder reads `over` octets past the end of its stream:
+    0, or CorruptStream once MAX_OVER_READ octets have been read there."""
+    if over >= MAX_OVER_READ:
+        raise CorruptStream("range-coded stream reads past its end")
+    return 0
 
 
 def carry(out):
@@ -66,9 +137,7 @@ class RangeEncoder:
     __slots__ = ("low", "range", "_out")
 
     def __init__(self):
-        self.low = 0
-        self.range = MASK32
-        self._out = bytearray(1)  # a leading zero octet, which no carry passes
+        self._out, self.low, self.range = begin()
 
     def encode(self, cum, freq, total):
         """Narrow the interval to [cum, cum+freq) out of `total`.

@@ -134,9 +134,9 @@ def test_crc_mismatch_raises():
 def test_single_bit_flips_never_decode_silently(alg):
     # 150 flips of one bit each in the CRC field or the payload; the
     # algorithm octet and the length octets are left alone.  A flip either
-    # raises or, where the decoder never reads that bit (the range coder's
-    # leading zero octet and the slack in its last octets, or a BWT primary
-    # index moved to an equal rotation), decodes to the original.
+    # raises or, where the decoder never reads that bit (the slack in a
+    # range-coded stream's last octets, or a BWT primary index moved to an
+    # equal rotation), decodes to the original.
     data = b"the quick brown fox " * 50
     raw = compress(data, alg).to_bytes()
     first = 1 + 2  # algorithm octet, 2-octet LEB128 length of 1000

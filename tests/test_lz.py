@@ -204,7 +204,8 @@ def test_corrupt_stream_detected_or_wrong():
     b"", bytes(1000), encode_payload(bytes(10**6)), encode_payload(random.Random(59).randbytes(900))],
     ids=["empty", "1000 zeros", "a million zeros", "900 random"])
 def test_lying_length_raises_at_once(payload):
-    # the decoder reads at most _MAX_OVER_READ octets past the payload's end
+    # the decoder reads at most rangecoder.MAX_OVER_READ octets past the
+    # payload's end
     assert len(payload) <= 1000
     start = time.perf_counter()
     with pytest.raises(CorruptStream):

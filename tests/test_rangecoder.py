@@ -4,7 +4,7 @@ from bisect import bisect_right
 import pytest
 
 from voicepack.codecs.lz import MAX_MATCH, MIN_MATCH, WINDOW, decode_payload, encode_payload, lz77_parse
-from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, finish, start
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, finish, past_end, start
 
 TWO32 = 1 << 32
 
@@ -90,9 +90,7 @@ class FrequencyDecoder:
 
     def __init__(self, data):
         self.data = data
-        self.range = MASK32
-        self.code = start(data)
-        self.pos = 5
+        self.range, self.code, self.pos, self.end = start(data)
 
     def decode(self, cums):
         """The symbol s whose slot [cums[s], cums[s + 1]) the code points
@@ -104,7 +102,7 @@ class FrequencyDecoder:
         self.code -= r * cum
         self.range = r * freq if cum + freq < total else self.range - r * cum
         while self.range < TOP:
-            octet = self.data[self.pos] if self.pos < len(self.data) else 0
+            octet = self.data[self.pos] if self.pos < self.end else past_end(self.pos - self.end)
             self.code = ((self.code << 8) | octet) & MASK32
             self.pos += 1
             self.range <<= 8
@@ -135,16 +133,15 @@ def test_freq_roundtrip_static_model():
 
 def test_empty_stream_decodes_zeros():
     assert RangeEncoder().finish() == b""
-    assert start(b"") == 0
+    assert start(b"") == (MASK32, 0, 5, 0)
     dec = FrequencyDecoder(b"")
     assert [dec.decode([0, 1, 2]) for _ in range(100)] == [0] * 100
 
 
 def test_start_reads_octets_one_to_four():
     # octet 0 is the encoder's leading zero; missing octets read as 0
-    assert start(b"\0\1\2\3\4\5") == 0x01020304
-    assert start(b"\0\xab") == 0xAB000000
-    assert start(b"\7") == 0
+    assert start(b"\0\1\2\3\4\5") == (MASK32, 0x01020304, 5, 6)
+    assert start(b"\0\xab") == (MASK32, 0xAB000000, 5, 2)
 
 
 @pytest.mark.parametrize("low, stream", [
