@@ -92,6 +92,16 @@ def sentence_text(sentence_id):
     return " , ".join([base] * reps)
 
 
+def _corpus_item(sentence_id, trial, payload):
+    """The corpus item of `payload`, with the metadata `_SENTENCES` lists
+    for `sentence_id`: empty text, one repetition and zero counts for an
+    unlisted id."""
+    meta = _SENTENCES.get(sentence_id)
+    _, reps, words, letters = meta or ("", 1, 0, 0)
+    return CorpusItem(sentence_id, sentence_text(sentence_id) if meta else "", reps,
+                      trial, payload, words, letters)
+
+
 def _sample(rng, n, k):
     """k distinct values of range(n), drawn without replacement."""
     values = list(range(n))
@@ -137,7 +147,6 @@ def generate_corpus(spec=CorpusSpec()):
     frames = {}
     items = []
     for sid in SENTENCE_IDS:
-        base, reps, words_meta, letters_meta = _SENTENCES[sid]
         text = sentence_text(sid)
         tokens = [w for w in text.split() if any(c.isalnum() for c in w)]
         for tok in tokens:
@@ -156,15 +165,8 @@ def generate_corpus(spec=CorpusSpec()):
                         prev = back[piece[pos - 1]] if pos else _skewed_pick(rng, _PALETTE_SIZE)
                         piece[pos] = palette[prefs[prev][_skewed_pick(rng, _BRANCH_CHOICES)]]
                     payload += piece
-            items.append(CorpusItem(
-                sentence_id=sid,
-                text=text,
-                repetitions_within=reps,
-                trial=trial,
-                payload=VoicePayload(bytes(payload), f"{sid}/trial{trial}"),
-                word_count=words_meta,
-                letter_count=letters_meta,
-            ))
+            items.append(_corpus_item(
+                sid, trial, VoicePayload(bytes(payload), f"{sid}/trial{trial}")))
     return items
 
 
@@ -239,16 +241,7 @@ def load_corpus_manifest(manifest_path):
                 raise ValueError(f"{where}: trial {trial!r} is not an integer") from None
             path = base / name
             data = path.read_bytes()
-            meta = _SENTENCES.get(sid)
-            items.append(CorpusItem(
-                sentence_id=sid,
-                text=sentence_text(sid) if meta else "",
-                repetitions_within=meta[1] if meta else 1,
-                trial=trial,
-                payload=VoicePayload(data, str(path)),
-                word_count=meta[2] if meta else 0,
-                letter_count=meta[3] if meta else 0,
-            ))
+            items.append(_corpus_item(sid, trial, VoicePayload(data, str(path))))
     return items
 
 

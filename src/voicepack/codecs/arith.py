@@ -15,12 +15,14 @@ tree over 257 symbols would walk up to 9 nodes per update.  PPM's
 contexts that hold all 256 octets keep their block sums by the same rule,
 block_sums, with the same BLOCK_WIDTH.
 
-Encoding goes one symbol per call through RangeEncoder.encode.  Decoding
-runs as one generator per stream, AdaptiveModel.decoded, which keeps the
-range coder's registers and read position in locals and divides once per
-symbol: r = range // total gives both the slot, code // r, and the
-narrowed range.  read_to_eos states the stream's ending, the declared
-length and then EOS, for AC and PPM alike.
+Encoding goes through encode_stream, which codes AC's octets and EOS,
+and each BWT block's tokens, with one fresh model, one symbol per call
+through RangeEncoder.encode.  Decoding runs as one generator per stream,
+AdaptiveModel.decoded, which keeps the range coder's registers and read
+position in locals and divides once per symbol: r = range // total
+gives both the slot, code // r, and the narrowed range.  read_to_eos
+states the stream's ending, the declared length and then EOS, for AC
+and PPM alike.
 """
 
 from itertools import islice
@@ -29,6 +31,7 @@ from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, past_end, sta
 from voicepack.errors import CorruptStream
 
 EOS = 256
+NUM_SYMBOLS = EOS + 1
 ADAPT_INCREMENT = 32
 MAX_TOTAL = 1 << 16
 
@@ -121,15 +124,19 @@ class AdaptiveModel:
             yield s
 
 
+def encode_stream(symbols):
+    """The range-coded stream of `symbols`, coded by one fresh model over
+    NUM_SYMBOLS symbols."""
+    enc = RangeEncoder()
+    encode = AdaptiveModel(NUM_SYMBOLS).encode
+    for s in symbols:
+        encode(enc, s)
+    return enc.finish()
+
+
 def ac_encode(data):
     """Compress octets with the adaptive coder; always ends with EOS."""
-    enc = RangeEncoder()
-    model = AdaptiveModel(257)
-    encode = model.encode
-    for b in data:
-        encode(enc, b)
-    encode(enc, EOS)
-    return enc.finish()
+    return encode_stream([*data, EOS])
 
 
 def read_to_eos(symbols, original_len, name):
@@ -147,5 +154,5 @@ def read_to_eos(symbols, original_len, name):
 def ac_decode(payload, original_len):
     """Inverse of ac_encode; stops at the declared length or at an earlier
     EOS, whichever comes first, then requires EOS."""
-    return read_to_eos(AdaptiveModel(257).decoded(payload),
+    return read_to_eos(AdaptiveModel(NUM_SYMBOLS).decoded(payload),
                        original_len, "arithmetic")

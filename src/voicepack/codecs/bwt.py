@@ -22,15 +22,13 @@ each), then the coded token stream.
 import struct
 from dataclasses import dataclass
 
-from voicepack.codecs.arith import AdaptiveModel
-from voicepack.codecs.rangecoder import RangeEncoder
+from voicepack.codecs.arith import NUM_SYMBOLS, AdaptiveModel, encode_stream
 from voicepack.errors import CorruptStream
 
 BLOCK_SIZE = 65536
 
 RUNA = 0
 RUNB = 1
-_TOKEN_ALPHABET = 257
 
 _BLOCK_HDR = struct.Struct(">III")
 
@@ -147,12 +145,7 @@ def encode_payload(data):
     for at in range(0, len(data), BLOCK_SIZE):
         chunk = data[at:at + BLOCK_SIZE]
         fwd = bwt_forward(chunk)
-        enc = RangeEncoder()
-        model = AdaptiveModel(_TOKEN_ALPHABET)
-        encode = model.encode
-        for t in mtf_rle_encode(fwd.data):
-            encode(enc, t)
-        stream = enc.finish()
+        stream = encode_stream(mtf_rle_encode(fwd.data))
         out += _BLOCK_HDR.pack(len(chunk), fwd.primary_index, len(stream))
         out += stream
     return bytes(out)
@@ -181,7 +174,7 @@ def decode_payload(payload, original_len):
         run = 0
         weight = 1
         # block_len >= 1, so the loop ends at the break or the raise
-        for t in AdaptiveModel(_TOKEN_ALPHABET).decoded(stream):
+        for t in AdaptiveModel(NUM_SYMBOLS).decoded(stream):
             if t <= RUNB:
                 run += (t + 1) * weight
                 weight <<= 1

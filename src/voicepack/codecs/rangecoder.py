@@ -70,8 +70,9 @@ to 58 for AC and PPM, 27 for LZMA and 25 for BWT; each 0xFF octet in
 such a run takes another 8 bits of the coded number equal to 1, just
 below the carry.
 
-RangeEncoder codes one frequency slot per call, for the AC and BWT
-senders; the other encoders code inline from begin() to finish().
+RangeEncoder codes one frequency slot per call.  Its only caller in
+src/ is arith.encode_stream, which codes the AC stream and each BWT
+block's; the other encoders code inline from begin() to finish().
 """
 
 from voicepack.errors import CorruptStream

@@ -12,6 +12,7 @@ from voicepack.codecs.arith import (
     AdaptiveModel,
     ac_decode,
     ac_encode,
+    encode_stream,
 )
 from voicepack.codecs.rangecoder import MASK32, RangeEncoder
 from voicepack.errors import CorruptStream
@@ -22,6 +23,16 @@ def test_empty_input_encodes_only_eos():
     assert ac_decode(payload, 0) == b""
     # the stream is a handful of flush octets, nothing more
     assert len(payload) <= 6
+
+
+@pytest.mark.parametrize("data", [
+    b"",
+    b"a",
+    # skewed enough that the model's counts are halved along the way
+    bytes(random.Random(7).choice(b"aaaaaaab") for _ in range(4000)),
+])
+def test_ac_encode_is_encode_stream_ending_in_eos(data):
+    assert ac_encode(data) == encode_stream([*data, EOS])
 
 
 def test_roundtrip_simple():

@@ -140,9 +140,21 @@ def test_emit_report_empty_records(tmp_path):
 def test_corpus_files_and_manifest_roundtrip(tmp_path):
     corpus = bench.generate_corpus(bench.CorpusSpec(seed=3))[:12]
     manifest = bench.write_corpus_files(corpus, tmp_path)
-    loaded = bench.load_corpus_manifest(manifest)
+    # a row whose id _SENTENCES does not list loads with empty metadata
+    (tmp_path / "X1.bin").write_bytes(b"\x01\x02")
+    with manifest.open("a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(["X1", 4, "X1.bin"])
+    *loaded, unlisted = bench.load_corpus_manifest(manifest)
     assert len(loaded) == len(corpus)
     for a, b in zip(corpus, loaded):
         assert a.sentence_id == b.sentence_id
         assert a.trial == b.trial
         assert a.payload.data == b.payload.data
+        assert a.text == b.text
+        assert a.repetitions_within == b.repetitions_within
+        assert a.word_count == b.word_count
+        assert a.letter_count == b.letter_count
+    assert (unlisted.sentence_id, unlisted.trial, unlisted.payload.data) == ("X1", 4, b"\x01\x02")
+    assert unlisted.text == ""
+    assert unlisted.repetitions_within == 1
+    assert (unlisted.word_count, unlisted.letter_count) == (0, 0)

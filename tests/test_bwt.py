@@ -5,7 +5,7 @@ import random
 import pytest
 
 from voicepack.codecs import bwt
-from voicepack.codecs.arith import AdaptiveModel
+from voicepack.codecs.arith import encode_stream
 from voicepack.codecs.bwt import (
     BLOCK_SIZE,
     RUNA,
@@ -18,7 +18,6 @@ from voicepack.codecs.bwt import (
     mtf_decode,
     mtf_rle_encode,
 )
-from voicepack.codecs.rangecoder import RangeEncoder
 from voicepack.errors import CorruptStream
 
 # one octet over BLOCK_SIZE, a block bwt_forward rejects
@@ -185,6 +184,22 @@ def test_payload_roundtrip_multiblock():
     assert decode_payload(payload, len(data)) == data
 
 
+def test_payload_blocks_hold_encode_stream():
+    rng = random.Random(23)
+    data = bytes(rng.choice(b"aabbbcd ") for _ in range(BLOCK_SIZE + 100))
+    payload = encode_payload(data)
+    pos = 0
+    for at in (0, BLOCK_SIZE):
+        block = data[at:at + BLOCK_SIZE]
+        fwd = bwt_forward(block)
+        stream = encode_stream(mtf_rle_encode(fwd.data))
+        assert bwt._BLOCK_HDR.unpack_from(payload, pos) == (len(block), fwd.primary_index, len(stream))
+        pos += 12
+        assert payload[pos:pos + len(stream)] == stream
+        pos += len(stream)
+    assert pos == len(payload)
+
+
 def test_payload_empty():
     assert encode_payload(b"") == b""
     assert decode_payload(b"", 0) == b""
@@ -222,11 +237,7 @@ def test_block_overrunning_declared_length_not_decoded(monkeypatch):
 
 def _block_payload(block_len, tokens, primary=0):
     """One block of the given tokens, coded as encode_payload codes them."""
-    enc = RangeEncoder()
-    model = AdaptiveModel(bwt._TOKEN_ALPHABET)
-    for t in tokens:
-        model.encode(enc, t)
-    stream = enc.finish()
+    stream = encode_stream(tokens)
     return bwt._BLOCK_HDR.pack(block_len, primary, len(stream)) + stream
 
 
