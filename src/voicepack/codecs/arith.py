@@ -18,8 +18,8 @@ block_sums, with the same BLOCK_WIDTH.
 Encoding goes through encode_stream, which codes AC's octets and EOS,
 and each BWT block's tokens, with one fresh model, one symbol per call
 through RangeEncoder.encode.  Decoding runs as one generator per stream,
-AdaptiveModel.decoded, which keeps the range coder's registers and read
-position in locals and divides once per symbol: r = range // total
+AdaptiveModel.decoded, which keeps the range coder's registers and octet
+source in locals and divides once per symbol: r = range // total
 gives both the slot, code // r, and the narrowed range.  read_to_eos
 states the stream's ending, the declared length and then EOS, for AC
 and PPM alike.
@@ -27,7 +27,7 @@ and PPM alike.
 
 from itertools import islice
 
-from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, past_end, start
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, start
 from voicepack.errors import CorruptStream
 
 EOS = 256
@@ -82,7 +82,7 @@ class AdaptiveModel:
 
         `counts`, `_blocks` and `total` are current at every yield.
         """
-        rng, code, pos, end = start(data)
+        rng, code, octet = start(data)
         counts = self.counts
         blocks = self._blocks
         total = self.total
@@ -108,8 +108,7 @@ class AdaptiveModel:
             # loop always ends
             rng = r * freq if cum + freq < total else rng - r * cum
             while rng < TOP:
-                code = ((code << 8) | (data[pos] if pos < end else past_end(pos - end))) & MASK32
-                pos += 1
+                code = ((code << 8) | octet()) & MASK32
                 rng <<= 8
             counts[s] = freq + ADAPT_INCREMENT
             blocks[b] += ADAPT_INCREMENT

@@ -27,10 +27,10 @@ least 2**13 * 31 > 2**16, which one 8-bit shift brings back to TOP.  A
 direct bit halves the range, so it needs one shift at most too.
 
 encode_payload and decode_payload each code the stream in one frame, by
-the rangecoder module's rule, with the registers and the read position
-in locals.  Each token codes its flag decision inline, then runs one
-tree loop over its trees (the literal tree, or the length tree and then
-the slot tree), then the direct bits.
+the rangecoder module's rule, with the registers and the output buffer
+or the octet source in locals.  Each token codes its flag decision
+inline, then runs one tree loop over its trees (the literal tree, or
+the length tree and then the slot tree), then the direct bits.
 
 The rangecoder module's limit of MAX_OVER_READ = 64 octets read past
 the end holds for this parse with room to spare: a stream of it reads
@@ -59,7 +59,7 @@ octet at least every 41 tokens, and a payload that declares more than
 it codes raises within about 41 * (len(payload) + 64) tokens.
 """
 
-from voicepack.codecs.rangecoder import MASK32, TOP, begin, carry, finish, past_end, start
+from voicepack.codecs.rangecoder import MASK32, TOP, begin, carry, finish, start
 from voicepack.errors import CorruptStream
 
 WINDOW = 32768
@@ -193,7 +193,7 @@ def encode_payload(data):
 
 def decode_payload(payload, original_len):
     probs = [PROB_INIT] * _CELLS
-    rng, code, pos, end = start(payload)
+    rng, code, octet = start(payload)
     out = bytearray()
     prev_kind = 0
     while len(out) < original_len:
@@ -212,8 +212,7 @@ def decode_payload(payload, original_len):
             trees = _MATCH_TREES
             prev_kind = 1
         if rng < TOP:
-            code = ((code << 8) | (payload[pos] if pos < end else past_end(pos - end))) & MASK32
-            pos += 1
+            code = ((code << 8) | octet()) & MASK32
             rng <<= 8
         value = 0
         for base, nbits in trees:
@@ -232,8 +231,7 @@ def decode_payload(payload, original_len):
                     probs[i] = p - (p >> PROB_MOVE)
                     node = (node << 1) | 1
                 if rng < TOP:
-                    code = ((code << 8) | (payload[pos] if pos < end else past_end(pos - end))) & MASK32
-                    pos += 1
+                    code = ((code << 8) | octet()) & MASK32
                     rng <<= 8
             value = (value << nbits) | (node - (1 << nbits))
         if not prev_kind:
@@ -251,8 +249,7 @@ def decode_payload(payload, original_len):
             else:
                 d <<= 1
             if rng < TOP:
-                code = ((code << 8) | (payload[pos] if pos < end else past_end(pos - end))) & MASK32
-                pos += 1
+                code = ((code << 8) | octet()) & MASK32
                 rng <<= 8
         src = len(out) - d - 1
         if src < 0:

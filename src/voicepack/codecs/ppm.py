@@ -21,8 +21,8 @@ its own index, found without bisection; elsewhere bisection finds it.
 
 Each stream is coded in one frame, by the rangecoder module's rule:
 the encoder keeps `low`, `range` and the output buffer in locals for the
-whole stream, the decoder (a generator) its range, code and read
-position, and each coding step divides once: r = range // total gives
+whole stream, the decoder (a generator) its range, code and octet
+source, and each coding step divides once: r = range // total gives
 the slot, code // r, and the narrowed range.  A symbol's slot always
 has the escape after it, so only the escape and the last order -1 slot
 take the range's remainder.
@@ -88,11 +88,10 @@ become nodes.
 from bisect import bisect_left
 from itertools import chain
 
-from voicepack.codecs.arith import BLOCK_SHIFT, BLOCK_WIDTH, EOS, block_sums, read_to_eos
-from voicepack.codecs.rangecoder import MASK32, TOP, begin, carry, finish, past_end, start
+from voicepack.codecs.arith import BLOCK_SHIFT, BLOCK_WIDTH, EOS, NUM_SYMBOLS, block_sums, read_to_eos
+from voicepack.codecs.rangecoder import MASK32, TOP, begin, carry, finish, start
 
 ORDER = 3
-_NUM_MINUS1 = 257
 _FULL = 256  # a context holding every octet: its symbol list is range(256)
 _SMALL = 64  # the decoder scans contexts of up to this many symbols whole
 _RESCALE_AT = (1 << 16) - 257
@@ -230,7 +229,7 @@ def _encode(model, data):
                 break
             excl = syms
         else:
-            total = _NUM_MINUS1 - len(excl)
+            total = NUM_SYMBOLS - len(excl)
             cum = sym - bisect_left(excl, sym)
             r = rng // total
             low += r * cum
@@ -249,7 +248,7 @@ def _encode(model, data):
 def _decoded(model, data):
     """Yield the symbols that the range-coded stream `data` codes under
     `model`, without end, counting each octet before it is yielded."""
-    rng, code, pos, end = start(data)
+    rng, code, octet = start(data)
     update = model.update
     while True:
         excl = ()
@@ -311,14 +310,13 @@ def _decoded(model, data):
                 code -= r * avail
                 rng -= r * avail
             while rng < TOP:
-                code = ((code << 8) | (data[pos] if pos < end else past_end(pos - end))) & MASK32
-                pos += 1
+                code = ((code << 8) | octet()) & MASK32
                 rng <<= 8
             if v < avail:
                 break
             excl = syms
         else:
-            total = _NUM_MINUS1 - len(excl)
+            total = NUM_SYMBOLS - len(excl)
             r = rng // total
             v = code // r
             if v >= total:
@@ -326,8 +324,7 @@ def _decoded(model, data):
             code -= r * v
             rng = r if v + 1 < total else rng - r * v
             while rng < TOP:
-                code = ((code << 8) | (data[pos] if pos < end else past_end(pos - end))) & MASK32
-                pos += 1
+                code = ((code << 8) | octet()) & MASK32
                 rng <<= 8
             sym = v
             for e in excl:

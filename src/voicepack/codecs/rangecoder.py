@@ -9,24 +9,27 @@ while `range` is below TOP = 2**24, the encoder shifts the top octet of
 it has written and adds a carry out of `low` into those octets, so
 `low` never needs more than 33 bits.
 
-Every stream is coded in one frame: each codec's encoder and decoder
-keep the registers, the output buffer or the read position in locals
-for the whole stream and renormalize inline, so each frequency-coding
-step divides once (Moffat, Neal & Witten, "Arithmetic coding
-revisited", ACM TOIS 1998).  They share two rules, stated here once:
+Every stream is coded in one frame: each codec's encoder keeps the
+registers and the output buffer in locals for the whole stream, and
+each decoder the registers and the octet source that start() returns;
+both renormalize inline, so each frequency-coding step divides once
+(Moffat, Neal & Witten, "Arithmetic coding revisited", ACM TOIS 1998).
+They share two rules, stated here once:
 
 - The start.  An encoder starts from begin(): an output holding one zero
   octet, which no carry passes, `low` = 0 and `range` = MASK32.  A
   decoder starts from start(data): `range` = MASK32, `code` = octets
-  1-4 big-endian, and reading resumes at octet 5.  Octet 0 must be
-  zero.  An empty stream is valid: it is what a stream whose `low`
-  stays 0 trims to, such as LZMA's of no octets.
+  1-4 big-endian, and `octet`, which returns the stream's octets from
+  octet 5 on, one per call.  Octet 0 must be zero.  An empty stream is
+  valid: it is what a stream whose `low` stays 0 trims to, such as
+  LZMA's of no octets.
 - The end.  finish() writes the four octets of `low` and trims every
-  trailing zero octet.  The decoder reads every octet past the end as
-  zero, through past_end(), which raises CorruptStream once it has read
-  MAX_OVER_READ = 64 of them (octets 1-4 that start() finds missing
-  count too).  So a payload that declares more than it codes costs no
-  more decoding work than its own octets and those 64 zeros can code.
+  trailing zero octet.  The decoder's octet source reads every octet
+  past the end as zero, and raises CorruptStream once it has read
+  MAX_OVER_READ = 64 of them.  The count covers every octet read at or
+  past the end, from octet 0 on: octet 0 of an empty stream counts too.
+  So a payload that declares more than it codes costs no more decoding
+  work than its own octets and those 64 zeros can code.
 
 A valid stream reads far fewer than 64 octets past its end.  The
 decoder reads five octets and then one per renormalization shift, in
@@ -75,6 +78,8 @@ src/ is arith.encode_stream, which codes the AC stream and each BWT
 block's; the other encoders code inline from begin() to finish().
 """
 
+from itertools import chain, islice, repeat
+
 from voicepack.errors import CorruptStream
 
 TOP = 1 << 24
@@ -89,22 +94,22 @@ def begin():
 
 
 def start(data):
-    """A decoder's start: (range, code, pos, end).  `code` holds octets
-    1-4 of `data`, big-endian, missing ones read as 0; reading resumes at
-    `pos` = 5, and `end` = len(data).  Raises CorruptStream unless octet
-    0 is the encoder's leading zero or `data` is empty."""
-    if data and data[0]:
+    """A decoder's start: (range, code, octet).  `code` holds octets 1-4
+    of `data`, big-endian, and each call of `octet` returns the next
+    octet, from octet 5 on, and 0 past the end up to the limit.  Raises
+    CorruptStream unless octet 0 is the encoder's leading zero or `data`
+    is empty."""
+    source = chain(data, repeat(0, MAX_OVER_READ), _overread())
+    if next(source):
         raise CorruptStream("range-coded stream does not start with a zero octet")
-    head = data[1:5]
-    return MASK32, int.from_bytes(head, "big") << (32 - 8 * len(head)), 5, len(data)
+    return MASK32, int.from_bytes(bytes(islice(source, 4)), "big"), source.__next__
 
 
-def past_end(over):
-    """The octet a decoder reads `over` octets past the end of its stream:
-    0, or CorruptStream once MAX_OVER_READ octets have been read there."""
-    if over >= MAX_OVER_READ:
-        raise CorruptStream("range-coded stream reads past its end")
-    return 0
+def _overread():
+    """What a decoder's octet source reads once it has read MAX_OVER_READ
+    zero octets past the end of its stream."""
+    raise CorruptStream("range-coded stream reads past its end")
+    yield  # a generator, so the raise waits for that read
 
 
 def carry(out):

@@ -4,7 +4,7 @@ from bisect import bisect_right
 import pytest
 
 from voicepack.codecs.lz import MAX_MATCH, MIN_MATCH, WINDOW, decode_payload, encode_payload, lz77_parse
-from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, finish, past_end, start
+from voicepack.codecs.rangecoder import MASK32, TOP, RangeEncoder, finish, start
 
 TWO32 = 1 << 32
 
@@ -89,8 +89,7 @@ class FrequencyDecoder:
     it in their own loops."""
 
     def __init__(self, data):
-        self.data = data
-        self.range, self.code, self.pos, self.end = start(data)
+        self.range, self.code, self.octet = start(data)
 
     def decode(self, cums):
         """The symbol s whose slot [cums[s], cums[s + 1]) the code points
@@ -102,9 +101,7 @@ class FrequencyDecoder:
         self.code -= r * cum
         self.range = r * freq if cum + freq < total else self.range - r * cum
         while self.range < TOP:
-            octet = self.data[self.pos] if self.pos < self.end else past_end(self.pos - self.end)
-            self.code = ((self.code << 8) | octet) & MASK32
-            self.pos += 1
+            self.code = ((self.code << 8) | self.octet()) & MASK32
             self.range <<= 8
         return s
 
@@ -131,17 +128,24 @@ def test_freq_roundtrip_static_model():
     assert [dec.decode(CUMS) for _ in symbols] == symbols
 
 
+def _started(data):
+    """start(data)'s range and code, and the octet its source reads next."""
+    rng, code, octet = start(data)
+    return rng, code, octet()
+
+
 def test_empty_stream_decodes_zeros():
     assert RangeEncoder().finish() == b""
-    assert start(b"") == (MASK32, 0, 5, 0)
+    assert _started(b"") == (MASK32, 0, 0)
     dec = FrequencyDecoder(b"")
     assert [dec.decode([0, 1, 2]) for _ in range(100)] == [0] * 100
 
 
 def test_start_reads_octets_one_to_four():
-    # octet 0 is the encoder's leading zero; missing octets read as 0
-    assert start(b"\0\1\2\3\4\5") == (MASK32, 0x01020304, 5, 6)
-    assert start(b"\0\xab") == (MASK32, 0xAB000000, 5, 2)
+    # octet 0 is the encoder's leading zero; missing octets read as 0,
+    # and the source reads on from octet 5
+    assert _started(b"\0\1\2\3\4\5") == (MASK32, 0x01020304, 5)
+    assert _started(b"\0\xab") == (MASK32, 0xAB000000, 0)
 
 
 @pytest.mark.parametrize("low, stream", [

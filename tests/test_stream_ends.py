@@ -127,7 +127,29 @@ def test_one_run_bwt_blocks_read_within_the_bound(octet, length):
     _round_trips_within_bound(AlgorithmId.BWT, bytes([octet]) * length)
 
 
-def test_past_end_reads_zeros_up_to_the_limit():
-    assert [rangecoder.past_end(over) for over in range(rangecoder.MAX_OVER_READ)] == [0] * 64
-    with pytest.raises(CorruptStream):
-        rangecoder.past_end(rangecoder.MAX_OVER_READ)
+def _read_to_the_limit(data):
+    """Every octet that start(data)'s source yields after octets 0-4, up
+    to the CorruptStream it raises."""
+    octet = rangecoder.start(data)[2]
+    read = []
+    with pytest.raises(CorruptStream, match="reads past its end"):
+        while True:
+            read.append(octet())
+    return read
+
+
+@pytest.mark.parametrize("data, rest", [
+    # octets 0-4 are read at start: for b"" all five are past the end
+    # and take 5 of the 64, for b"\0" four of them do
+    (b"", [0] * 59),
+    (b"\0", [0] * 60),
+    (b"\0\1\2\3\4\5", [5] + [0] * 64),
+], ids=len)
+def test_source_reads_zeros_up_to_the_limit(data, rest):
+    assert _read_to_the_limit(data) == rest
+
+
+def test_source_limit_is_read_at_start(monkeypatch):
+    monkeypatch.setattr(rangecoder, "MAX_OVER_READ", 7)
+    assert _read_to_the_limit(b"\0") == [0] * 3
+    assert _read_to_the_limit(b"\0\1\2\3\4\5\6") == [5, 6] + [0] * 7
