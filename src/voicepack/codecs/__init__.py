@@ -5,13 +5,10 @@ container is self-describing.  compress writes a CVT2 container: one
 octet 0x80 | algorithm, the original length as minimal LEB128 (1-5
 octets, at most 2**32 - 1), the CRC-32 of the original (zlib.crc32, 4
 octets big-endian, as in the gzip trailer of RFC 1952), then the
-algorithm's payload; decompress checks the CRC.  Every codec parameter
-is a fixed constant, so the container is all a receiver needs.
-
-The older CVT1 container is still read, never written: magic "CVT1",
-one algorithm octet, the original length as 4 octets big-endian, then
-the payload, with no CRC and Huffman's frequency header.  Its first
-octet, "C" (0x43), has the top bit clear, which tells the two apart.
+algorithm's payload.  decompress checks the CRC-32 of every container
+it decodes.  A first octet below 0x80 is rejected as BadMagic.  Every
+codec parameter is a fixed constant, so the container is all a receiver
+needs.
 """
 
 import struct
@@ -24,9 +21,6 @@ from voicepack.errors import BadMagic, CorruptStream, UnknownAlgorithm
 
 CVT2_FLAG = 0x80
 MAX_LEN = (1 << 32) - 1
-
-MAGIC = b"CVT1"
-HEADER_LEN = 9
 
 _U32 = struct.Struct(">I")
 
@@ -64,16 +58,15 @@ DEFAULT_CONFIG = CodecConfig()
 
 @dataclass(frozen=True)
 class CompressedBlob:
-    """Self-describing compressed container; crc is None for CVT1."""
+    """Self-describing compressed container; crc is the CRC-32 of the
+    original octets."""
 
     algorithm: AlgorithmId
     original_len: int
     payload: bytes
-    crc: int | None = None
+    crc: int
 
     def to_bytes(self):
-        if self.crc is None:
-            raise ValueError("CVT1 containers are read, never written")
         return (bytes([CVT2_FLAG | self.algorithm]) + _leb128(self.original_len)
                 + _U32.pack(self.crc) + self.payload)
 
@@ -81,8 +74,6 @@ class CompressedBlob:
     def parse(cls, raw):
         if not raw:
             raise BadMagic("empty container")
-        if raw[0] == MAGIC[0]:
-            return cls._parse_cvt1(raw)
         if raw[0] < CVT2_FLAG:
             raise BadMagic(f"bad first octet {raw[0]:#04x}")
         alg = _algorithm(raw[0] & 0x7F)
@@ -91,15 +82,6 @@ class CompressedBlob:
             raise BadMagic("container shorter than its header")
         (crc,) = _U32.unpack_from(raw, at)
         return cls(alg, original_len, bytes(raw[at + _U32.size:]), crc)
-
-    @classmethod
-    def _parse_cvt1(cls, raw):
-        if len(raw) < HEADER_LEN:
-            raise BadMagic("blob shorter than its header")
-        if raw[:4] != MAGIC:
-            raise BadMagic(f"bad magic {raw[:4]!r}")
-        (original_len,) = _U32.unpack_from(raw, 5)
-        return cls(_algorithm(raw[4]), original_len, bytes(raw[HEADER_LEN:]))
 
 
 def _algorithm(octet):
@@ -173,16 +155,14 @@ def compress(data, alg):
 
 
 def decompress(blob):
-    """Exact inverse of compress; also decodes a parsed CVT1 container."""
+    """Exact inverse of compress; the CRC-32 must match."""
     try:
         _, decode = _CODECS[blob.algorithm]
     except KeyError:
         raise UnknownAlgorithm(f"algorithm octet {blob.algorithm}") from None
-    if blob.crc is None and blob.algorithm == AlgorithmId.HUFFMAN:
-        decode = huffman.huffman_decode_cvt1
     out = decode(blob.payload, blob.original_len)
     if len(out) != blob.original_len:
         raise CorruptStream("decoded length does not match header")
-    if blob.crc is not None and zlib.crc32(out) != blob.crc:
+    if zlib.crc32(out) != blob.crc:
         raise CorruptStream("CRC-32 of the decoded octets does not match the container")
     return out

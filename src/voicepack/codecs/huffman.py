@@ -15,10 +15,6 @@ zero-padded.  An empty input has an empty payload.  The decoder rejects
 a Kraft sum other than 1 (but for one symbol of length 1), a repeated
 symbol, symbols out of order within a length, and counts past n.
 
-The older frequency header of CVT1 containers (huffman_decode_cvt1):
-symbol count (2 octets BE), then per symbol in ascending octet order
-its value (1 octet) and count (4 octets BE), then the same code bits.
-
 The encoder joins the code strings of all symbols into one string of
 '0'/'1' and converts it to octets in a single int(bits, 2) call.  The
 decoder is table driven (Moffat & Turpin 1997): the next
@@ -30,13 +26,9 @@ map.
 """
 
 import heapq
-import struct
 from collections import Counter
 
 from voicepack.errors import CorruptStream, EmptyAlphabet
-
-_HDR_COUNT = struct.Struct(">H")
-_HDR_ENTRY = struct.Struct(">BI")
 
 # Width of the decoder's lookup index; codes longer than this take the
 # slow path; in the seed-42 voice corpus about 2 symbols in 10,000 do.
@@ -147,27 +139,6 @@ def _read_lengths(payload):
     return symbols, counts, body_at
 
 
-def _read_frequencies(payload):
-    """(frequency map, body offset) from a CVT1 frequency header, checked."""
-    if len(payload) < _HDR_COUNT.size:
-        raise CorruptStream("huffman header truncated")
-    (n,) = _HDR_COUNT.unpack_from(payload)
-    body_at = _HDR_COUNT.size + n * _HDR_ENTRY.size
-    if len(payload) < body_at:
-        raise CorruptStream("huffman frequency table truncated")
-    freqs = {}
-    prev = -1
-    for i in range(n):
-        sym, count = _HDR_ENTRY.unpack_from(payload, _HDR_COUNT.size + i * _HDR_ENTRY.size)
-        if sym <= prev:
-            raise CorruptStream("huffman symbols not strictly ascending")
-        if count == 0:
-            raise CorruptStream("huffman count of zero")
-        freqs[sym] = count
-        prev = sym
-    return freqs, body_at
-
-
 def huffman_decode(payload, original_len):
     """Inverse of huffman_encode for a known output length."""
     if original_len == 0:
@@ -175,17 +146,6 @@ def huffman_decode(payload, original_len):
             raise CorruptStream("huffman payload for an empty input")
         return b""
     symbols, counts, body_at = _read_lengths(payload)
-    return _decode_bits(symbols, counts, payload[body_at:], original_len)
-
-
-def huffman_decode_cvt1(payload, original_len):
-    """Decode a Huffman payload of a CVT1 container: the frequency header."""
-    freqs, body_at = _read_frequencies(payload)
-    if original_len == 0:
-        return b""
-    if not freqs:
-        raise CorruptStream("huffman body without symbols")
-    symbols, counts = _canonical_order(build_huffman_table(freqs))
     return _decode_bits(symbols, counts, payload[body_at:], original_len)
 
 

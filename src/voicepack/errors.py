@@ -6,8 +6,8 @@ class VoicepackError(Exception):
 
 
 class BadMagic(VoicepackError):
-    """Serialized blob has no valid container header: a bad first octet
-    or magic, a length not in minimal LEB128 or over 2**32 - 1, or too
+    """Serialized blob has no valid container header: a first octet
+    below 0x80, a length not in minimal LEB128 or over 2**32 - 1, or too
     few octets."""
 
 

@@ -50,15 +50,28 @@ def test_bad_magic():
         CompressedBlob.parse(b"CVT")
 
 
+# CVT1 containers: magic "CVT1", the algorithm octet, the original
+# length as 4 octets BE, then the payload, with no CRC.  Their first
+# octet "C" is below 0x80.
+CVT1_CONTAINERS = {
+    "lying_lzma": b"CVT1\x02\x80\x00\x00\x00",  # declares 2**31 octets
+    "abracadabra_ppm": bytes.fromhex("43565431040000000b00614f8c97ff4e1f063d75c1"),
+}
+
+
+@pytest.mark.parametrize("raw", CVT1_CONTAINERS.values(), ids=CVT1_CONTAINERS)
+def test_cvt1_container_is_bad_magic(raw):
+    with pytest.raises(BadMagic, match="bad first octet 0x43"):
+        CompressedBlob.parse(raw)
+
+
 def test_unknown_algorithm():
-    with pytest.raises(UnknownAlgorithm):
-        CompressedBlob.parse(b"CVT1\x07\x00\x00\x00\x00")
     with pytest.raises(UnknownAlgorithm):
         CompressedBlob.parse(b"\x87\x00\x00\x00\x00\x00")
     with pytest.raises(UnknownAlgorithm):
         AlgorithmId.from_label("zip")
     with pytest.raises(UnknownAlgorithm):
-        decompress(CompressedBlob(9, 0, b""))
+        decompress(CompressedBlob(9, 0, b"", zlib.crc32(b"")))
 
 
 def test_none_passthrough():
@@ -119,7 +132,7 @@ def test_truncated_payload_raises(alg):
 
 
 def test_none_length_mismatch_raises():
-    blob = CompressedBlob(AlgorithmId.NONE, 5, b"four")
+    blob = CompressedBlob(AlgorithmId.NONE, 5, b"four", zlib.crc32(b"four"))
     with pytest.raises(CorruptStream):
         decompress(blob)
 

@@ -86,6 +86,15 @@ def test_decompress_truncated_names_corrupt_stream(tmp_path, capsys):
     assert "CorruptStream" in capsys.readouterr().err
 
 
+def test_decompress_cvt1_container_is_bad_magic(tmp_path, capsys):
+    # a 9-octet CVT1 LZMA container (magic, algorithm 2, length 2**31)
+    bad = tmp_path / "lying.cvt"
+    bad.write_bytes(b"CVT1\x02\x80\x00\x00\x00")
+    code = run_cli(["decompress", "--in", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "BadMagic" in capsys.readouterr().err
+
+
 def test_missing_input_file_data_error(tmp_path, capsys):
     code = run_cli(["compress", "--in", str(tmp_path / "ghost"), "--out", str(tmp_path / "o")])
     assert code == 2

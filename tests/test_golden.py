@@ -1,20 +1,22 @@
-"""Byte-exact golden outputs: every codec's container on two fixed inputs.
+"""Byte-exact golden outputs: every codec's container on three fixed
+input sets.
 
 The digests pin the wire bytes, so a refactor or speed-up that changes
 any output octet fails here.  A deliberate wire-format change updates
-them and says so; the CVT2 container replaced these digests of the CVT1
-one, and tests/test_cvt1.py keeps CVT1 readable.  Each digest is the
-SHA-256 over the input set of every container, each prefixed by its
-length as 4 octets big-endian.
+them and says so.  Each digest is the SHA-256 over the input set of
+every container, each prefixed by its length as 4 octets big-endian.
+The third set holds edge cases: the empty input, one octet, a short
+word, a long repeat, one corpus clip and 300 random octets.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from conftest import mixed_payloads
 from voicepack import bench
-from voicepack.codecs import AlgorithmId, compress
+from voicepack.codecs import AlgorithmId, CompressedBlob, compress, decompress
 
 GOLDEN = {
     "seed42_trial1": {
@@ -35,6 +37,15 @@ GOLDEN = {
         "ac": "5e27a0a1f48efa782b1d0dc8042affa173eb67e0eaa55cabaf61e1f896950c5a",
         "bwt": "c3ac91c3058a4513b3ea5de3ed0db07ce5918d612b9b4e47e0fcc637f9dc7b2a",
     },
+    "edge_cases": {
+        "none": "fd5de1b1bc9c2e691c856fe516c01bf8d7ec15c4fe85050d8d82d2671e75299e",
+        "lzw": "68e0df7271e73820dccb500b11cb1d3577b48ecf9edfe36e23b0f7f01c9d5c23",
+        "lzma": "eabab7e24ee371d47563249be52f64254463e4ea349a1ff2090a0765c81bcf04",
+        "huffman": "81c0d82c25dbb87fdc3db59250a78e46450a38640bfcf931800c5a29888615e5",
+        "ppm": "012a13ff20202207461bce29b00c6cdd6cdc4183cb223ccdde7b413b3ced2c74",
+        "ac": "e16b1efc4fd11313089c6f2af787bc47f4a74d26e0487202c26aa795adaaa115",
+        "bwt": "47cc4939c9c44b9a4f2600ec80c3723ff542eb4818f8605913e7433ad5fc9999",
+    },
 }
 
 
@@ -42,6 +53,10 @@ def _inputs(name):
     if name == "seed42_trial1":
         corpus = bench.generate_corpus(bench.CorpusSpec(seed=42))
         return [item.payload.data for item in corpus if item.trial == 1]
+    if name == "edge_cases":
+        corpus = bench.generate_corpus(bench.CorpusSpec(seed=42))
+        return [b"", b"v", b"abracadabra", b"the quick brown fox " * 50,
+                corpus[0].payload.data, random.Random(300).randbytes(300)]
     return mixed_payloads(20250808, 60)
 
 
@@ -59,3 +74,9 @@ def test_containers_match_golden_digests(name):
     payloads = _inputs(name)
     got = {alg.label: container_digest(payloads, alg) for alg in AlgorithmId}
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("alg", list(AlgorithmId), ids=lambda alg: alg.label)
+def test_edge_cases_round_trip(alg):
+    for data in _inputs("edge_cases"):
+        assert decompress(CompressedBlob.parse(compress(data, alg).to_bytes())) == data

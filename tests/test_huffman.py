@@ -11,7 +11,6 @@ from voicepack.codecs.huffman import (
     LOOKUP_BITS,
     build_huffman_table,
     huffman_decode,
-    huffman_decode_cvt1,
     huffman_encode,
 )
 from voicepack.errors import CorruptStream, EmptyAlphabet
@@ -182,23 +181,6 @@ def test_corrupt_header_raises():
 def test_payload_for_empty_input_raises():
     with pytest.raises(CorruptStream):
         huffman_decode(huffman_encode(b"a"), 0)
-
-
-def test_cvt1_frequency_header():
-    # the CVT1 layout: symbol count, then octet and count per symbol,
-    # then the same code bits as the CVT2 payload
-    freq_header = b"\x00\x02" + b"a\x00\x00\x00\x03" + b"b\x00\x00\x00\x01"
-    body = huffman_encode(b"aaab")[4:]
-    assert huffman_decode_cvt1(freq_header + body, 4) == b"aaab"
-    assert huffman_decode_cvt1(b"\x00\x00", 0) == b""
-    with pytest.raises(CorruptStream):
-        huffman_decode_cvt1(b"\x00", 0)
-    with pytest.raises(CorruptStream):
-        huffman_decode_cvt1(b"\x00\x00", 5)  # body without symbols
-    # symbols not ascending
-    bad = b"\x00\x02" + b"\x05" + b"\x00\x00\x00\x01" + b"\x04" + b"\x00\x00\x00\x01"
-    with pytest.raises(CorruptStream):
-        huffman_decode_cvt1(bad, 2)
 
 
 def test_optimality_spot_checks():

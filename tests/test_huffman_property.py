@@ -2,7 +2,6 @@
 bit-at-a-time reference decoder that reads the code-length header as the
 README states it, and the header checks against mutated headers."""
 
-import struct
 import time
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +11,6 @@ import pytest
 from voicepack.codecs.huffman import (
     build_huffman_table,
     huffman_decode,
-    huffman_decode_cvt1,
     huffman_encode,
 )
 from voicepack.errors import CorruptStream, VoicepackError
@@ -109,21 +107,6 @@ def test_mutated_payload_decodes_or_raises(data, draw):
     if got is not VoicepackError:
         assert len(got) == original_len
     assert got == outcome(reference_decode, payload, original_len)
-
-
-def frequency_header(data):
-    """The CVT1 header: symbol count, then octet and count per symbol."""
-    freqs = Counter(data)
-    return struct.pack(">H", len(freqs)) + b"".join(
-        struct.pack(">BI", sym, freqs[sym]) for sym in sorted(freqs))
-
-
-@settings
-@given(payloads)
-def test_cvt1_header_decodes_the_same_code_bits(data):
-    payload = huffman_encode(data)
-    body = payload[1 + payload[1] + len(set(data)):] if data else b""
-    assert huffman_decode_cvt1(frequency_header(data) + body, len(data)) == data
 
 
 def lengths_header(lengths):
