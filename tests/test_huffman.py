@@ -2,18 +2,20 @@ import hashlib
 import itertools
 import random
 import time
+import zlib
 from collections import Counter
 from functools import lru_cache
 
 import pytest
 
+from voicepack.codecs import AlgorithmId, CompressedBlob, decompress
 from voicepack.codecs.huffman import (
     LOOKUP_BITS,
     build_huffman_table,
     huffman_decode,
     huffman_encode,
 )
-from voicepack.errors import CorruptStream, EmptyAlphabet
+from voicepack.errors import BadMagic, CorruptStream, EmptyAlphabet
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +183,24 @@ def test_corrupt_header_raises():
 def test_payload_for_empty_input_raises():
     with pytest.raises(CorruptStream):
         huffman_decode(huffman_encode(b"a"), 0)
+
+
+def test_cvt1_frequency_header():
+    # The retired CVT1 Huffman payload: symbol count, then octet and
+    # count per symbol, then the code bits.  Its container is refused at
+    # parse, and the same payload behind a CVT2 header is refused by the
+    # code-length header check (n = 1 but 0x61 codes of length 1).
+    raw = bytes.fromhex(
+        "43565431030000000b000561000000056200000002630000000164000000"
+        "01720000000269cf68")  # abracadabra, as the CVT1 writer made it
+    with pytest.raises(BadMagic, match="bad first octet 0x43"):
+        CompressedBlob.parse(raw)
+    payload = raw[9:]
+    with pytest.raises(CorruptStream):
+        huffman_decode(payload, 11)
+    blob = CompressedBlob(AlgorithmId.HUFFMAN, 11, payload, zlib.crc32(b"abracadabra"))
+    with pytest.raises(CorruptStream):
+        decompress(CompressedBlob.parse(blob.to_bytes()))
 
 
 def test_optimality_spot_checks():
