@@ -23,7 +23,7 @@ from voicepack import (
 )
 from voicepack.pipeline import SmsBundle
 
-payload = VoicePayload(bytes(range(256)) * 8, source_label="demo clip")
+payload = VoicePayload(bytes(range(256)) * 8)
 print(f"voice payload: {len(payload.data)} octets")
 
 # stage 1: every octet maps onto one extended-ASCII character, so the

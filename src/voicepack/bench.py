@@ -165,8 +165,7 @@ def generate_corpus(spec=CorpusSpec()):
                         prev = back[piece[pos - 1]] if pos else _skewed_pick(rng, _PALETTE_SIZE)
                         piece[pos] = palette[prefs[prev][_skewed_pick(rng, _BRANCH_CHOICES)]]
                     payload += piece
-            items.append(_corpus_item(
-                sid, trial, VoicePayload(bytes(payload), f"{sid}/trial{trial}")))
+            items.append(_corpus_item(sid, trial, VoicePayload(bytes(payload))))
     return items
 
 
@@ -241,7 +240,7 @@ def load_corpus_manifest(manifest_path):
                 raise ValueError(f"{where}: trial {trial!r} is not an integer") from None
             path = base / name
             data = path.read_bytes()
-            items.append(_corpus_item(sid, trial, VoicePayload(data, str(path))))
+            items.append(_corpus_item(sid, trial, VoicePayload(data)))
     return items
 
 

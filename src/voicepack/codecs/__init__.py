@@ -156,10 +156,7 @@ def compress(data, alg):
 
 def decompress(blob):
     """Exact inverse of compress; the CRC-32 must match."""
-    try:
-        _, decode = _CODECS[blob.algorithm]
-    except KeyError:
-        raise UnknownAlgorithm(f"algorithm octet {blob.algorithm}") from None
+    _, decode = _CODECS[_algorithm(blob.algorithm)]
     out = decode(blob.payload, blob.original_len)
     if len(out) != blob.original_len:
         raise CorruptStream("decoded length does not match header")

@@ -15,9 +15,13 @@ zero-padded.  An empty input has an empty payload.  The decoder rejects
 a Kraft sum other than 1 (but for one symbol of length 1), a repeated
 symbol, symbols out of order within a length, and counts past n.
 
-The encoder joins the code strings of all symbols into one string of
-'0'/'1' and converts it to octets in a single int(bits, 2) call.  The
-decoder is table driven (Moffat & Turpin 1997): the next
+The encoder takes the header from the table itself: build_huffman_table
+returns its symbols in canonical order, so the table's keys are the
+header's symbols and the lengths of its code strings give the counts.
+It joins the code strings of all symbols into one string of '0'/'1' and
+converts it to octets in a single int(bits, 2) call.
+
+The decoder is table driven (Moffat & Turpin 1997): the next
 k = min(max code length, LOOKUP_BITS) bits index a flat list of 2**k
 (symbol, length) entries, so each symbol costs one lookup.  A k-bit
 prefix that no code of at most k bits matches marks a longer code; those
@@ -63,6 +67,8 @@ def build_huffman_table(freqs):
     """Return {octet: code string of '0'/'1'} for a frequency map.
 
     Codes are canonical: shorter codes sort first, ties ordered by octet.
+    The dict holds its symbols in that order, by code length and then
+    octet, which is the order the payload header lists them in.
     Raises EmptyAlphabet for an empty map; counts must be positive.
     """
     if not freqs:
@@ -82,24 +88,15 @@ def build_huffman_table(freqs):
     return table
 
 
-def _canonical_order(table):
-    """The symbols of a code table sorted by code length, then octet, and
-    counts[l], the number of codes of length l, for l in 0..L."""
-    symbols = sorted(table, key=lambda sym: (len(table[sym]), sym))
-    counts = [0] * (len(table[symbols[-1]]) + 1)
-    for code in table.values():
-        counts[len(code)] += 1
-    return symbols, counts
-
-
 def huffman_encode(data):
     """Serialize the code lengths plus the packed code bits."""
     if not data:
         return b""
     table = build_huffman_table(Counter(data))
-    symbols, counts = _canonical_order(table)
-    longest = len(counts) - 1
-    header = bytes([len(symbols) - 1, longest, *counts[1:longest], *symbols])
+    per_length = Counter(map(len, table.values()))
+    longest = max(per_length)
+    header = bytes([len(table) - 1, longest,
+                    *(per_length[length] for length in range(1, longest)), *table])
     codes = [""] * 256
     for sym, code in table.items():
         codes[sym] = code
@@ -146,12 +143,7 @@ def huffman_decode(payload, original_len):
             raise CorruptStream("huffman payload for an empty input")
         return b""
     symbols, counts, body_at = _read_lengths(payload)
-    return _decode_bits(symbols, counts, payload[body_at:], original_len)
-
-
-def _decode_bits(symbols, counts, body, original_len):
-    """Decode original_len symbols of the canonical code that gives
-    counts[l] codes of length l to `symbols`, taken in order."""
+    body = payload[body_at:]
     max_len = len(counts) - 1
     k = min(max_len, LOOKUP_BITS)
     mask = (1 << k) - 1

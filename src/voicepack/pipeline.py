@@ -16,7 +16,6 @@ from voicepack.errors import NonExtAsciiCodePoint
 @dataclass(frozen=True)
 class VoicePayload:
     data: bytes
-    source_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -54,4 +53,4 @@ def decode_message(bundle):
     raw = sms.reassemble(bundle.segments)
     blob = CompressedBlob.parse(raw)
     data = decompress(blob)
-    return VoicePayload(data, f"sms ref {bundle.reference}")
+    return VoicePayload(data)

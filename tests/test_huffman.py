@@ -241,6 +241,21 @@ def test_long_codes_roundtrip_pinned():
     assert huffman_decode(payload, len(data)) == data
 
 
+def test_table_lists_symbols_in_canonical_order():
+    # huffman_encode writes the table's keys as the header's symbol list,
+    # so the table must hold them by code length, then octet.
+    fibonacci = Counter(fibonacci_data(25))
+    assert max(map(len, build_huffman_table(fibonacci).values())) > LOOKUP_BITS
+    maps = [{ord("x"): 5}, dict.fromkeys(range(256), 1), fibonacci]
+    rng = random.Random(30)
+    for _ in range(50):
+        syms = rng.sample(range(256), rng.randrange(2, 257))
+        maps.append({s: rng.randrange(1, 1 << rng.randrange(1, 20)) for s in syms})
+    for freqs in maps:
+        table = build_huffman_table(freqs)
+        assert list(table) == sorted(freqs, key=lambda sym: (len(table[sym]), sym))
+
+
 @pytest.mark.parametrize("data", [b"the rain in spain", fibonacci_data(14)],
                          ids=["short-codes", "long-codes"])
 def test_every_truncation_raises(data):

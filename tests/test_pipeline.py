@@ -57,7 +57,7 @@ def test_roundtrip_every_algorithm():
     rng = random.Random(60)
     data = bytes(rng.choice(b"abcdefgh ") for _ in range(5000))
     for alg in AlgorithmId:
-        bundle = encode_message(VoicePayload(data, "clip"), alg, ref=9)
+        bundle = encode_message(VoicePayload(data), alg, ref=9)
         assert bundle.algorithm == alg
         back = decode_message(bundle)
         assert back.data == data
